@@ -1,10 +1,3 @@
 """Continual-learning benchmark harness for sequential classification streams."""
 
-from .audiofeat import LogMelConfig, PcmClip
-from .harness import ExperimentConfig, RunRecord, run_experiment, run_grid, report
-from .metrics import AccuracyMatrix, a_incremental, acc_final, bwt, fwt, session_curve
-from .ndcore import AdamState, ModelSpec, ParamVector
-from .scenarios import Task, TaskStream, build_stream, validate_stream
-from .strategies import Model, StrategyConfig, TrainConfig, make_strategy, train_task
-
 __version__ = "0.1.0"

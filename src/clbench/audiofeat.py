@@ -9,6 +9,7 @@ identical features out.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import wave
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ __all__ = [
     "pool",
     "extract_file",
     "sample_cluster",
-    "synth_features",
     "write_feature_cache",
     "read_feature_cache",
 ]
@@ -119,12 +119,6 @@ def _mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_center_frequencies(cfg: LogMelConfig) -> np.ndarray:
-    """Peak frequency (Hz) of each triangular filter."""
-    edges = np.linspace(_hz_to_mel(cfg.fmin), _hz_to_mel(cfg.fmax), cfg.mel_bins + 2)
-    return _mel_to_hz(edges)[1:-1]
-
-
 def mel_filterbank(cfg: LogMelConfig) -> np.ndarray:
     """(mel_bins, fft_size//2 + 1) triangular filters on the HTK mel scale."""
     edges_hz = _mel_to_hz(
@@ -150,11 +144,10 @@ def logmel(clip: PcmClip, cfg: LogMelConfig) -> np.ndarray:
             f"clip sample rate {clip.sample_rate} != configured {cfg.sample_rate} "
             "(no resampling)"
         )
-    n_frames = frame_count(clip.samples.size, cfg.fft_size, cfg.hop)
-    idx = np.arange(cfg.fft_size)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
+    frame_count(clip.samples.size, cfg.fft_size, cfg.hop)  # rejects sub-frame clips
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.fft_size) / cfg.fft_size)
-    frames = clip.samples[idx] * window
-    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
+    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, cfg.fft_size)[:: cfg.hop]
+    power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
     mel_power = power @ mel_filterbank(cfg).T
     out = np.log(mel_power + cfg.log_floor)
     if not np.isfinite(out).all():
@@ -173,12 +166,6 @@ def pool(features: np.ndarray, mode: str) -> np.ndarray:
     if mode == "mean-std-over-time":
         return np.concatenate([features.mean(axis=0), features.std(axis=0)])
     raise ValueError(f"unknown pooling mode {mode!r}; valid: {POOL_MODES}")
-
-
-def pooled_dim(cfg: LogMelConfig, mode: str) -> int:
-    if mode not in POOL_MODES:
-        raise ValueError(f"unknown pooling mode {mode!r}")
-    return cfg.mel_bins * (2 if mode == "mean-std-over-time" else 1)
 
 
 def extract_file(path, cfg: LogMelConfig, mode: str = "mean-over-time") -> np.ndarray:
@@ -202,20 +189,6 @@ def sample_cluster(mean, sigma: float, n: int, rng: np.random.Generator) -> np.n
     return mean[None, :] + sigma * rng.standard_normal((n, mean.size))
 
 
-def synth_features(class_means: dict, sigma: float, n_per_class: int, seed: int):
-    """Labeled Gaussian features: n_per_class draws around each class mean.
-
-    Returns (X, labels) with labels repeating the mapping's keys in insertion
-    order; the same seed reproduces the sample set exactly.
-    """
-    rng = np.random.default_rng(seed)
-    blocks, labels = [], []
-    for label, mean in class_means.items():
-        blocks.append(sample_cluster(mean, sigma, n_per_class, rng))
-        labels.extend([label] * n_per_class)
-    return np.vstack(blocks), labels
-
-
 def cache_key(*parts: bytes) -> bytes:
     digest = hashlib.sha256()
     for part in parts:
@@ -224,17 +197,28 @@ def cache_key(*parts: bytes) -> bytes:
 
 
 def write_feature_cache(path, key: bytes, features: np.ndarray) -> None:
-    """FEA1 cache: magic, 32-byte key hash, count, dim, f32 little-endian."""
+    """FEA1 cache: magic, 32-byte key hash, count, dim, f32 little-endian.
+
+    The file is written under a per-process temporary name next to `path`
+    and renamed into place, so concurrent writers and interrupted writes
+    never leave a truncated cache behind.
+    """
     features = np.asarray(features)
     if features.ndim != 2:
         raise ValueError("feature cache expects a (count, dim) matrix")
     if len(key) != 32:
         raise ValueError("cache key must be a 32-byte digest")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_CACHE_MAGIC)
-        fh.write(key)
-        fh.write(struct.pack("<II", features.shape[0], features.shape[1]))
-        fh.write(features.astype("<f4").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(FEATURE_CACHE_MAGIC)
+            fh.write(key)
+            fh.write(struct.pack("<II", features.shape[0], features.shape[1]))
+            fh.write(features.astype("<f4").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed before the rename
+            os.unlink(tmp)
 
 
 def read_feature_cache(path, expected_key: bytes):

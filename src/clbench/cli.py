@@ -10,8 +10,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import audiofeat, harness, scenarios
 from .harness import ExperimentConfig, StreamValidationError
 from .strategies import StrategyConfig
@@ -54,7 +52,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", default="text", choices=("text", "csv"))
     p.add_argument("--out", help="write the table to a file instead of stdout")
 
-    p = sub.add_parser("gen-synthetic", help="generate a synthetic manifest plus feature data")
+    p = sub.add_parser("gen-synthetic", help="generate and validate a synthetic manifest")
     p.add_argument("--scenario", required=True, choices=("DI", "CI"))
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
@@ -163,16 +161,8 @@ def _cmd_gen_synthetic(args) -> int:
     manifest_path = os.path.join(args.out, f"{args.scenario.lower()}_manifest.json")
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2)
-    stream = scenarios.build_stream(manifest)
-    key = audiofeat.cache_key(json.dumps(manifest, sort_keys=True).encode())
-    features = np.vstack(
-        [x for task in stream.tasks for x in (task.train_x, task.test_x)]
-    )
-    data_path = os.path.join(args.out, f"{args.scenario.lower()}_features.fea1")
-    audiofeat.write_feature_cache(data_path, key, features)
-    report = scenarios.validate_stream(stream)
+    report = scenarios.validate_stream(scenarios.build_stream(manifest))
     print(f"manifest: {manifest_path}")
-    print(f"features: {data_path} ({features.shape[0]} x {features.shape[1]})")
     print(f"validation: {'pass' if report.ok else 'FAIL'}")
     return EXIT_OK if report.ok else EXIT_VALIDATION
 

@@ -1,20 +1,19 @@
 """Dense float64 numeric core: a flat-parameter MLP classifier with analytic
 gradients, softmax cross-entropy, and bias-corrected Adam.
 
-All operations are pure functions over (ParamVector, ModelSpec) so strategies
-can snapshot, perturb and restore parameters freely.
+Parameters and gradients are 1-D float64 arrays laid out by `ModelSpec`. All
+operations are pure functions over (params, ModelSpec) so strategies can
+snapshot, perturb and restore parameters freely.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "ModelSpec",
-    "ParamVector",
     "AdamState",
     "init_params",
     "forward",
@@ -24,22 +23,22 @@ __all__ = [
     "backward_from_dlogits",
     "adam_step",
     "grad_check",
-    "params_to_bytes",
-    "params_from_bytes",
-    "save_params",
-    "load_params",
 ]
-
-PARAM_BLOB_MAGIC = b"NDC1"
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Shape of the classifier: input -> ReLU hidden stack -> linear head."""
+    """Shape of the classifier: input -> ReLU hidden stack -> linear head.
+
+    A flat parameter vector holds, per affine layer, the row-major weight
+    matrix (fan_in, fan_out) followed by the bias (fan_out,).
+    """
 
     input_dim: int
     hidden_dims: tuple[int, ...] = (128, 64)
     output_dim: int = 2
+    # (weight start, bias start, bias end, fan_in, fan_out) per layer
+    _offsets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
@@ -47,88 +46,38 @@ class ModelSpec:
             raise ValueError("all layer dims must be >= 1")
         if self.output_dim < 2:
             raise ValueError("output_dim must be >= 2")
+        offsets = []
+        start = 0
+        for fan_in, fan_out in self.layer_dims():
+            bias = start + fan_in * fan_out
+            offsets.append((start, bias, bias + fan_out, fan_in, fan_out))
+            start = bias + fan_out
+        object.__setattr__(self, "_offsets", tuple(offsets))
 
     def layer_dims(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per affine layer, head included."""
         dims = [self.input_dim, *self.hidden_dims, self.output_dim]
         return list(zip(dims[:-1], dims[1:]))
 
-    def layout(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
-        """Flat-vector segmentation: (name, offset, shape) per weight/bias."""
-        segs = []
-        offset = 0
-        for i, (fan_in, fan_out) in enumerate(self.layer_dims()):
-            segs.append((f"w{i}", offset, (fan_in, fan_out)))
-            offset += fan_in * fan_out
-            segs.append((f"b{i}", offset, (fan_out,)))
-            offset += fan_out
-        return tuple(segs)
-
     @property
     def n_params(self) -> int:
-        return sum(fi * fo + fo for fi, fo in self.layer_dims())
+        return self._offsets[-1][2]
+
+    def layers(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(W, b) views per layer into a flat parameter or gradient vector;
+        in-place edits write through to `flat`."""
+        return [
+            (flat[w:b].reshape(fan_in, fan_out), flat[b:end])
+            for w, b, end, fan_in, fan_out in self._offsets
+        ]
 
 
-@dataclass
-class ParamVector:
-    """Flat float64 parameter vector plus its per-layer segmentation.
-
-    Segments are contiguous and cover the vector exactly; `segment` returns a
-    reshaped view, so in-place edits write through to `values`.
-    """
-
-    values: np.ndarray
-    layout: tuple[tuple[str, int, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("values must be a flat vector")
-        end = 0
-        for name, offset, shape in self.layout:
-            if offset != end:
-                raise ValueError(f"segment {name!r} not contiguous at {offset}")
-            end = offset + int(np.prod(shape))
-        if end != self.values.size:
-            raise ValueError("layout does not cover the vector exactly")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def segment(self, name: str) -> np.ndarray:
-        for seg_name, offset, shape in self.layout:
-            if seg_name == name:
-                size = int(np.prod(shape))
-                return self.values[offset : offset + size].reshape(shape)
-        raise KeyError(name)
-
-    def segments(self) -> dict[str, np.ndarray]:
-        return {name: self.segment(name) for name, _, _ in self.layout}
-
-    @classmethod
-    def from_segments(cls, layout, segments: dict[str, np.ndarray]) -> "ParamVector":
-        size = sum(int(np.prod(shape)) for _, _, shape in layout)
-        values = np.empty(size, dtype=np.float64)
-        for name, offset, shape in layout:
-            seg = np.asarray(segments[name], dtype=np.float64)
-            if seg.shape != tuple(shape):
-                raise ValueError(f"segment {name!r} has shape {seg.shape}, expected {shape}")
-            values[offset : offset + seg.size] = seg.ravel()
-        return cls(values, tuple(layout))
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
-
-    def zeros_like(self) -> "ParamVector":
-        return ParamVector(np.zeros_like(self.values), self.layout)
-
-
-def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
-    """Glorot-uniform weights, zero biases, drawn in layout order."""
-    params = ParamVector(np.zeros(spec.n_params), spec.layout())
-    for i, (fan_in, fan_out) in enumerate(spec.layer_dims()):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        params.segment(f"w{i}")[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
+    """Glorot-uniform weights, zero biases, drawn in layer order."""
+    params = np.zeros(spec.n_params)
+    for W, _ in spec.layers(params):
+        bound = np.sqrt(6.0 / (W.shape[0] + W.shape[1]))
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
     return params
 
 
@@ -141,25 +90,24 @@ def _check_batch(spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _forward_cached(params: ParamVector, spec: ModelSpec, batch: np.ndarray):
-    batch = _check_batch(spec, batch)
-    n_layers = len(spec.layer_dims())
-    acts = [batch]  # post-activation inputs to each layer
-    h = batch
-    for i in range(n_layers):
-        pre = h @ params.segment(f"w{i}") + params.segment(f"b{i}")
-        h = pre if i == n_layers - 1 else np.maximum(pre, 0.0)
-        if i < n_layers - 1:
+def forward(params: np.ndarray, spec: ModelSpec, batch: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """Logits of shape (batch_rows, output_dim).
+
+    When a list is passed as `acts`, the input of every layer (the batch,
+    then each post-ReLU hidden activation) is appended to it, which is what
+    `backward_from_dlogits` needs.
+    """
+    h = _check_batch(spec, batch)
+    layers = spec.layers(params)
+    last = len(layers) - 1
+    for i, (W, b) in enumerate(layers):
+        if acts is not None:
             acts.append(h)
+        pre = h @ W + b
+        h = pre if i == last else np.maximum(pre, 0.0)
     if not np.isfinite(h).all():
         raise FloatingPointError("non-finite logits")
-    return h, acts
-
-
-def forward(params: ParamVector, spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
-    """Logits of shape (batch_rows, output_dim)."""
-    logits, _ = _forward_cached(params, spec, batch)
-    return logits
+    return h
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -199,30 +147,31 @@ def ce_dlogits(logits: np.ndarray, labels) -> np.ndarray:
 
 
 def backward_from_dlogits(
-    params: ParamVector, spec: ModelSpec, batch: np.ndarray, dlogits: np.ndarray
-) -> ParamVector:
-    """Backprop an upstream logits gradient to a parameter gradient.
+    params: np.ndarray, spec: ModelSpec, acts: list, dlogits: np.ndarray
+) -> np.ndarray:
+    """Backprop an upstream logits gradient to a parameter gradient, given
+    the layer inputs `forward` collected for the same params and batch.
 
     Strategies that mix several logit-space losses (e.g. distillation) sum
     their dlogits terms and run a single backward pass through here.
     """
-    _, acts = _forward_cached(params, spec, batch)
-    n_layers = len(spec.layer_dims())
-    grad = params.zeros_like()
+    grad = np.empty(spec.n_params)
+    layers = spec.layers(params)
     d = np.asarray(dlogits, dtype=np.float64)
-    for i in reversed(range(n_layers)):
-        grad.segment(f"w{i}")[...] = acts[i].T @ d
-        grad.segment(f"b{i}")[...] = d.sum(axis=0)
+    for i, (gW, gb) in reversed(list(enumerate(spec.layers(grad)))):
+        gW[...] = acts[i].T @ d
+        gb[...] = d.sum(axis=0)
         if i > 0:
             # acts[i] is post-ReLU; its positive support marks active units
-            d = (d @ params.segment(f"w{i}").T) * (acts[i] > 0.0)
+            d = (d @ layers[i][0].T) * (acts[i] > 0.0)
     return grad
 
 
-def backward(params: ParamVector, spec: ModelSpec, batch: np.ndarray, labels) -> ParamVector:
+def backward(params: np.ndarray, spec: ModelSpec, batch: np.ndarray, labels) -> np.ndarray:
     """Gradient of mean CE loss, same layout as `params`."""
-    logits, _ = _forward_cached(params, spec, batch)
-    return backward_from_dlogits(params, spec, batch, ce_dlogits(logits, labels))
+    acts: list = []
+    logits = forward(params, spec, batch, acts)
+    return backward_from_dlogits(params, spec, acts, ce_dlogits(logits, labels))
 
 
 @dataclass
@@ -242,30 +191,29 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), learning_rate=learning_rate, **kw)
 
 
-def adam_step(
-    state: AdamState, params: ParamVector, grad: ParamVector
-) -> tuple[ParamVector, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
-    if len(params) != state.m.size or len(grad) != state.m.size:
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update. The moments are updated in place;
+    the parameters come back as a fresh array, leaving `params` intact."""
+    if params.size != state.m.size or grad.size != state.m.size:
         raise ValueError("params/grad length does not match optimizer state")
-    g = grad.values
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grad * grad)
     m_hat = m / (1.0 - state.beta1**t)
     v_hat = v / (1.0 - state.beta2**t)
-    new_values = params.values - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = replace(state, m=m, v=v, step=t)
-    return ParamVector(new_values, params.layout), new_state
+    state.step = t
+    return params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps), state
 
 
-def min_abs_preactivation(params: ParamVector, spec: ModelSpec, batch: np.ndarray) -> float:
+def min_abs_preactivation(params: np.ndarray, spec: ModelSpec, batch: np.ndarray) -> float:
     """Distance of the closest hidden preactivation to the ReLU kink."""
-    batch = _check_batch(spec, batch)
-    h = batch
+    h = _check_batch(spec, batch)
     closest = np.inf
-    for i, _ in enumerate(spec.layer_dims()[:-1]):
-        pre = h @ params.segment(f"w{i}") + params.segment(f"b{i}")
+    for W, b in spec.layers(params)[:-1]:
+        pre = h @ W + b
         closest = min(closest, float(np.abs(pre).min()))
         h = np.maximum(pre, 0.0)
     return closest
@@ -282,69 +230,21 @@ def grad_check(spec: ModelSpec, seed: int, h: float = 1e-5, batch_rows: int = 4)
     if h <= 0:
         raise ValueError("finite-difference step h must be > 0")
     rng = np.random.default_rng(seed)
-    params = init_params(spec, rng)
+    theta = init_params(spec, rng)
     for _ in range(100):
         batch = rng.normal(size=(batch_rows, spec.input_dim))
-        if min_abs_preactivation(params, spec, batch) > 10.0 * h:
+        if min_abs_preactivation(theta, spec, batch) > 10.0 * h:
             break
     labels = rng.integers(0, spec.output_dim, size=batch_rows)
-    analytic = backward(params, spec, batch, labels).values
+    analytic = backward(theta, spec, batch, labels)
     numeric = np.empty_like(analytic)
-    theta = params.values
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + h
-        up = ce_loss(forward(params, spec, batch), labels)
+        up = ce_loss(forward(theta, spec, batch), labels)
         theta[i] = orig - h
-        down = ce_loss(forward(params, spec, batch), labels)
+        down = ce_loss(forward(theta, spec, batch), labels)
         theta[i] = orig
         numeric[i] = (up - down) / (2.0 * h)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-def params_to_bytes(params: ParamVector) -> bytes:
-    """Binary snapshot: magic, layout table, then f64 little-endian values."""
-    out = [PARAM_BLOB_MAGIC, struct.pack("<I", len(params.layout))]
-    for name, offset, shape in params.layout:
-        encoded = name.encode("utf-8")
-        out.append(struct.pack("<H", len(encoded)))
-        out.append(encoded)
-        out.append(struct.pack("<QB", offset, len(shape)))
-        out.append(struct.pack(f"<{len(shape)}Q", *shape))
-    out.append(struct.pack("<Q", params.values.size))
-    out.append(params.values.astype("<f8").tobytes())
-    return b"".join(out)
-
-
-def params_from_bytes(blob: bytes) -> ParamVector:
-    if blob[:4] != PARAM_BLOB_MAGIC:
-        raise ValueError("bad parameter blob magic")
-    pos = 4
-    (n_segs,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    layout = []
-    for _ in range(n_segs):
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        name = blob[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        offset, ndim = struct.unpack_from("<QB", blob, pos)
-        pos += 9
-        shape = struct.unpack_from(f"<{ndim}Q", blob, pos)
-        pos += 8 * ndim
-        layout.append((name, offset, tuple(int(d) for d in shape)))
-    (n_values,) = struct.unpack_from("<Q", blob, pos)
-    pos += 8
-    values = np.frombuffer(blob, dtype="<f8", count=n_values, offset=pos).copy()
-    return ParamVector(values, tuple(layout))
-
-
-def save_params(params: ParamVector, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(params_to_bytes(params))
-
-
-def load_params(path) -> ParamVector:
-    with open(path, "rb") as fh:
-        return params_from_bytes(fh.read())

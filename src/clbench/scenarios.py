@@ -44,7 +44,6 @@ __all__ = [
     "build_di_stream",
     "build_ci_stream",
     "validate_stream",
-    "seen_classes",
     "synthetic_di_manifest",
     "synthetic_ci_manifest",
     "reference_di_manifest",
@@ -123,18 +122,6 @@ class TaskStream:
         for task in self.tasks[:t]:
             out |= task.label_set
         return out
-
-    def seen_test_pool(self, t: int):
-        """Concatenated test split of tasks 1..t (the growing CI test pool)."""
-        if not 1 <= t <= self.n_tasks:
-            raise ValueError(f"session index {t} out of range 1..{self.n_tasks}")
-        xs = np.vstack([task.test_x for task in self.tasks[:t]])
-        ys = np.concatenate([task.test_y for task in self.tasks[:t]])
-        return xs, ys
-
-
-def seen_classes(stream: TaskStream, t: int) -> frozenset[int]:
-    return stream.seen_classes(t)
 
 
 def _sample_id(key: str) -> str:

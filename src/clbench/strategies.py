@@ -9,15 +9,12 @@ access-audited interface that records which tasks each session touched.
 
 from __future__ import annotations
 
-import io
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ndcore
-from .ndcore import AdamState, ModelSpec, ParamVector
+from .ndcore import AdamState, ModelSpec
 from .scenarios import TaskStream
 
 __all__ = [
@@ -49,8 +46,6 @@ __all__ = [
     "GemResult",
     "make_strategy",
     "train_task",
-    "save_strategy_state",
-    "load_strategy_state",
 ]
 
 KINDS = (
@@ -65,8 +60,6 @@ KINDS = (
     "GEM",
     "AGEM",
 )
-
-STATE_MAGIC = b"CLS1"
 
 
 class SessionOrderError(RuntimeError):
@@ -134,7 +127,7 @@ class TrainConfig:
 @dataclass
 class Model:
     spec: ModelSpec
-    params: ParamVector
+    params: np.ndarray
 
 
 class RngBundle:
@@ -197,10 +190,6 @@ class StreamAccess:
 # Regularizer state and operations
 
 
-def _values(theta) -> np.ndarray:
-    return theta.values if isinstance(theta, ParamVector) else np.asarray(theta, dtype=np.float64)
-
-
 @dataclass
 class EwcState:
     """One (theta*, Fisher diagonal) anchor per completed task."""
@@ -211,12 +200,11 @@ class EwcState:
         fisher = np.asarray(fisher, dtype=np.float64)
         if (fisher < 0).any():
             raise ValueError("Fisher diagonal must be elementwise >= 0")
-        self.anchors.append((_values(theta_star).copy(), fisher.copy()))
+        self.anchors.append((np.array(theta_star, dtype=np.float64), fisher.copy()))
 
 
 def ewc_penalty(state: EwcState, theta, lam: float) -> float:
     """(lam/2) * sum over anchors of F_i (theta_i - theta*_i)^2."""
-    theta = _values(theta)
     total = 0.0
     for theta_star, fisher in state.anchors:
         if theta_star.size != theta.size:
@@ -227,7 +215,6 @@ def ewc_penalty(state: EwcState, theta, lam: float) -> float:
 
 
 def ewc_penalty_gradient(state: EwcState, theta, lam: float) -> np.ndarray:
-    theta = _values(theta)
     grad = np.zeros_like(theta)
     for theta_star, fisher in state.anchors:
         if theta_star.size != theta.size:
@@ -237,7 +224,7 @@ def ewc_penalty_gradient(state: EwcState, theta, lam: float) -> np.ndarray:
 
 
 def estimate_fisher(
-    params: ParamVector,
+    params: np.ndarray,
     spec: ModelSpec,
     x: np.ndarray,
     y: np.ndarray,
@@ -255,10 +242,9 @@ def estimate_fisher(
     if n == 0:
         raise ValueError("cannot estimate Fisher on empty data")
     idx = np.arange(n) if budget >= n else np.sort(rng.choice(n, size=budget, replace=False))
-    total = np.zeros(len(params))
+    total = np.zeros(params.size)
     for i in idx:
-        g = ndcore.backward(params, spec, x[i : i + 1], y[i : i + 1])
-        total += g.values**2
+        total += ndcore.backward(params, spec, x[i : i + 1], y[i : i + 1]) ** 2
     return total / idx.size
 
 
@@ -277,7 +263,6 @@ class SiState:
     theta_ref: np.ndarray | None = None
 
     def begin_task(self, theta) -> None:
-        theta = _values(theta)
         self.w = np.zeros_like(theta)
         self.theta_start = theta.copy()
         if self.theta_ref is None:
@@ -285,16 +270,14 @@ class SiState:
 
 
 def si_update(state: SiState, grad, theta_before, theta_after) -> None:
-    grad, before, after = _values(grad), _values(theta_before), _values(theta_after)
     if state.w is None:
         state.w = np.zeros_like(grad)
-    if not grad.size == before.size == after.size == state.w.size:
+    if not grad.size == theta_before.size == theta_after.size == state.w.size:
         raise ValueError("si_update vectors must be congruent")
-    state.w += -grad * (after - before)
+    state.w += -grad * (theta_after - theta_before)
 
 
 def si_consolidate(state: SiState, theta_end) -> None:
-    theta_end = _values(theta_end)
     if state.theta_start is None:
         state.theta_start = theta_end.copy()
     w = state.w if state.w is not None else np.zeros_like(theta_end)
@@ -312,21 +295,21 @@ def si_penalty(state: SiState, theta, lam: float) -> float:
     """lam * sum omega_i (theta_i - theta_ref_i)^2."""
     if state.omega is None or state.theta_ref is None:
         return 0.0
-    diff = _values(theta) - state.theta_ref
+    diff = theta - state.theta_ref
     return float(lam * np.dot(state.omega * diff, diff))
 
 
 def si_penalty_gradient(state: SiState, theta, lam: float) -> np.ndarray | None:
     if state.omega is None or state.theta_ref is None:
         return None
-    return 2.0 * lam * state.omega * (_values(theta) - state.theta_ref)
+    return 2.0 * lam * state.omega * (theta - state.theta_ref)
 
 
 @dataclass(frozen=True)
 class TeacherSnapshot:
     """Frozen pre-task model that supplies distillation targets."""
 
-    params: ParamVector
+    params: np.ndarray
     spec: ModelSpec
 
     def logits(self, batch: np.ndarray) -> np.ndarray:
@@ -547,13 +530,13 @@ class Strategy:
 
     # --- hooks -------------------------------------------------------------
 
-    def initial_params(self, model: Model, t: int) -> ParamVector:
+    def initial_params(self, model: Model, t: int) -> np.ndarray:
         return model.params
 
     def session_data(self, access: StreamAccess, t: int):
         return access.train(t)
 
-    def before_session(self, params: ParamVector, access: StreamAccess, t: int) -> None:
+    def before_session(self, params: np.ndarray, access: StreamAccess, t: int) -> None:
         pass
 
     def extend_batch(self, bx: np.ndarray, by: np.ndarray):
@@ -562,16 +545,16 @@ class Strategy:
     def loss_dlogits(self, logits: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
         return ndcore.ce_dlogits(logits, by)
 
-    def penalty_gradient(self, params: ParamVector) -> np.ndarray | None:
+    def penalty_gradient(self, params: np.ndarray) -> np.ndarray | None:
         return None
 
-    def adjust_gradient(self, grad: ParamVector, params: ParamVector, t: int) -> ParamVector:
+    def adjust_gradient(self, grad: np.ndarray, params: np.ndarray, t: int) -> np.ndarray:
         return grad
 
-    def after_step(self, grad_values, before_values, after_values) -> None:
+    def after_step(self, grad: np.ndarray, before: np.ndarray, after: np.ndarray) -> None:
         pass
 
-    def after_session(self, params: ParamVector, access: StreamAccess, t: int) -> None:
+    def after_session(self, params: np.ndarray, access: StreamAccess, t: int) -> None:
         pass
 
     def shuffle_key(self, t: int) -> int:
@@ -579,40 +562,33 @@ class Strategy:
 
     # --- shared session loop -----------------------------------------------
 
-    def train_session(self, model: Model, access: StreamAccess, t: int, cfg: TrainConfig) -> ParamVector:
+    def train_session(self, model: Model, access: StreamAccess, t: int, cfg: TrainConfig) -> np.ndarray:
+        # adam_step returns fresh parameters, so the incoming model is never
+        # written to
         self._cfg = cfg
         x, y = self.session_data(access, t)
-        params = self.initial_params(model, t).copy()
+        params = self.initial_params(model, t)
         self.before_session(params, access, t)
         n = x.shape[0]
-        adam = AdamState.fresh(len(params), cfg.learning_rate)
+        adam = AdamState.fresh(params.size, cfg.learning_rate)
         for epoch in range(cfg.epochs):
             order = self.rngs.shuffle_rng(self.shuffle_key(t), epoch).permutation(n)
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                bx, by = x[idx], y[idx]
-                bx, by = self.extend_batch(bx, by)
-                logits = ndcore.forward(params, self.spec, bx)
+                bx, by = self.extend_batch(x[idx], y[idx])
+                acts: list = []
+                logits = ndcore.forward(params, self.spec, bx, acts)
                 d = self.loss_dlogits(logits, bx, by)
-                grad = ndcore.backward_from_dlogits(params, self.spec, bx, d)
+                grad = ndcore.backward_from_dlogits(params, self.spec, acts, d)
                 extra = self.penalty_gradient(params)
                 if extra is not None:
-                    grad = ParamVector(grad.values + extra, grad.layout)
+                    grad = grad + extra
                 grad = self.adjust_gradient(grad, params, t)
-                before = params.values
+                before = params
                 params, adam = ndcore.adam_step(adam, params, grad)
-                self.after_step(grad.values, before, params.values)
+                self.after_step(grad, before, params)
         self.after_session(params, access, t)
         return params
-
-    # --- serialization -----------------------------------------------------
-
-    def state_sections(self) -> list[tuple[str, bytes]]:
-        return [("progress", json.dumps({"completed": self.completed}).encode())]
-
-    def load_sections(self, sections: dict) -> None:
-        if "progress" in sections:
-            self.completed = json.loads(sections["progress"].decode())["completed"]
 
 
 class NaiveStrategy(Strategy):
@@ -661,24 +637,6 @@ class EwcStrategy(Strategy):
         fisher = estimate_fisher(params, self.spec, x, y, self.config.fisher_budget, self.rngs.fisher)
         self.state.add(params, fisher)
 
-    def state_sections(self):
-        sections = super().state_sections()
-        arrays = {}
-        for k, (theta_star, fisher) in enumerate(self.state.anchors):
-            arrays[f"theta_{k}"] = theta_star
-            arrays[f"fisher_{k}"] = fisher
-        sections.append(("ewc.anchors", _npz_bytes(arrays)))
-        return sections
-
-    def load_sections(self, sections):
-        super().load_sections(sections)
-        arrays = _npz_load(sections["ewc.anchors"])
-        self.state = EwcState()
-        k = 0
-        while f"theta_{k}" in arrays:
-            self.state.add(arrays[f"theta_{k}"], arrays[f"fisher_{k}"])
-            k += 1
-
 
 class SiStrategy(Strategy):
     def __init__(self, config, spec, master_seed):
@@ -689,9 +647,9 @@ class SiStrategy(Strategy):
         if self.config.lam > 0.0:
             self.state.begin_task(params)
 
-    def after_step(self, grad_values, before_values, after_values):
+    def after_step(self, grad, before, after):
         if self.config.lam > 0.0:
-            si_update(self.state, grad_values, before_values, after_values)
+            si_update(self.state, grad, before, after)
 
     def penalty_gradient(self, params):
         if self.config.lam == 0.0:
@@ -701,23 +659,6 @@ class SiStrategy(Strategy):
     def after_session(self, params, access, t):
         if self.config.lam > 0.0:
             si_consolidate(self.state, params)
-
-    def state_sections(self):
-        sections = super().state_sections()
-        arrays = {}
-        for name in ("w", "omega", "theta_start", "theta_ref"):
-            value = getattr(self.state, name)
-            if value is not None:
-                arrays[name] = value
-        sections.append(("si.state", _npz_bytes(arrays)))
-        return sections
-
-    def load_sections(self, sections):
-        super().load_sections(sections)
-        arrays = _npz_load(sections["si.state"])
-        self.state = SiState(xi=self.config.xi)
-        for name, value in arrays.items():
-            setattr(self.state, name, value)
 
 
 class LwfStrategy(Strategy):
@@ -737,17 +678,6 @@ class LwfStrategy(Strategy):
             d = d + lwf_kd_dlogits(teacher_logits, logits, self.config.tau, self.config.alpha)
         return d
 
-    def state_sections(self):
-        sections = super().state_sections()
-        if self.teacher is not None:
-            sections.append(("lwf.teacher", ndcore.params_to_bytes(self.teacher.params)))
-        return sections
-
-    def load_sections(self, sections):
-        super().load_sections(sections)
-        if "lwf.teacher" in sections:
-            self.teacher = TeacherSnapshot(ndcore.params_from_bytes(sections["lwf.teacher"]), self.spec)
-
 
 class _BufferedStrategy(Strategy):
     policy = "reservoir"
@@ -755,33 +685,6 @@ class _BufferedStrategy(Strategy):
     def __init__(self, config, spec, master_seed):
         super().__init__(config, spec, master_seed)
         self.buffer = MemoryBuffer(capacity=config.memory_size, policy=self.policy)
-
-    def state_sections(self):
-        sections = super().state_sections()
-        x, y = self.buffer.arrays() if len(self.buffer) else (np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
-        sections.append(
-            (
-                "memory.buffer",
-                _npz_bytes(
-                    {
-                        "features": x,
-                        "labels": y,
-                        "origins": np.asarray(self.buffer.origins, dtype=np.int64),
-                        "seen": np.asarray([self.buffer.seen]),
-                    }
-                ),
-            )
-        )
-        return sections
-
-    def load_sections(self, sections):
-        super().load_sections(sections)
-        arrays = _npz_load(sections["memory.buffer"])
-        self.buffer = MemoryBuffer(capacity=self.config.memory_size, policy=self.policy)
-        self.buffer.features = [row for row in arrays["features"]]
-        self.buffer.labels = [int(v) for v in arrays["labels"]]
-        self.buffer.origins = [int(v) for v in arrays["origins"]]
-        self.buffer.seen = int(arrays["seen"][0])
 
 
 class ReplayStrategy(_BufferedStrategy):
@@ -847,24 +750,6 @@ class _EpisodicStrategy(Strategy):
     def _memory_tasks(self, t: int) -> list[int]:
         return sorted(k for k in self.memories if k < t)
 
-    def state_sections(self):
-        sections = super().state_sections()
-        arrays = {}
-        for k, (x, y) in self.memories.items():
-            arrays[f"x_{k}"] = x
-            arrays[f"y_{k}"] = y
-        sections.append(("episodic.memories", _npz_bytes(arrays)))
-        return sections
-
-    def load_sections(self, sections):
-        super().load_sections(sections)
-        arrays = _npz_load(sections["episodic.memories"])
-        self.memories = {}
-        for name, value in arrays.items():
-            if name.startswith("x_"):
-                k = int(name[2:])
-                self.memories[k] = (value, arrays[f"y_{k}"])
-
 
 class GemStrategy(_EpisodicStrategy):
     """Per-step projection keeping the update non-harmful to every past task."""
@@ -873,17 +758,13 @@ class GemStrategy(_EpisodicStrategy):
         past = self._memory_tasks(t)
         if not past:
             return grad
-        rows = np.stack(
-            [ndcore.backward(params, self.spec, *self.memories[k]).values for k in past]
-        )
-        result = gem_project(grad.values, rows, margin=self.config.gamma)
+        rows = np.stack([ndcore.backward(params, self.spec, *self.memories[k]) for k in past])
+        result = gem_project(grad, rows, margin=self.config.gamma)
         if result.projected:
             self.diagnostics["projections"] = self.diagnostics.get("projections", 0) + 1
         if result.fallback:
             self.diagnostics["fallbacks"] = self.diagnostics.get("fallbacks", 0) + 1
-        if not result.projected:
-            return grad
-        return ParamVector(result.grad, grad.layout)
+        return result.grad
 
 
 class AgemStrategy(_EpisodicStrategy):
@@ -909,11 +790,11 @@ class AgemStrategy(_EpisodicStrategy):
         pool_x, pool_y = self._pool
         k = min(self._cfg.batch_size, pool_x.shape[0])
         idx = self.rngs.memory.choice(pool_x.shape[0], size=k, replace=False)
-        g_ref = ndcore.backward(params, self.spec, pool_x[idx], pool_y[idx]).values
-        if float(grad.values @ g_ref) >= 0.0:
+        g_ref = ndcore.backward(params, self.spec, pool_x[idx], pool_y[idx])
+        if float(grad @ g_ref) >= 0.0:
             return grad
         self.diagnostics["projections"] = self.diagnostics.get("projections", 0) + 1
-        return ParamVector(agem_project(grad.values, g_ref), grad.layout)
+        return agem_project(grad, g_ref)
 
 
 _STRATEGIES = {
@@ -956,51 +837,3 @@ def train_task(strategy: Strategy, model: Model, data, t: int, cfg: TrainConfig)
         )
     strategy.completed = t
     return Model(spec=model.spec, params=params)
-
-
-# ---------------------------------------------------------------------------
-# State snapshot serialization: tagged sections
-
-
-def _npz_bytes(arrays: dict) -> bytes:
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    return buf.getvalue()
-
-
-def _npz_load(blob: bytes) -> dict:
-    with np.load(io.BytesIO(blob)) as data:
-        return {name: data[name] for name in data.files}
-
-
-def save_strategy_state(strategy: Strategy, path) -> None:
-    sections = strategy.state_sections()
-    with open(path, "wb") as fh:
-        fh.write(STATE_MAGIC)
-        fh.write(struct.pack("<I", len(sections)))
-        for tag, payload in sections:
-            encoded = tag.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
-
-
-def load_strategy_state(strategy: Strategy, path) -> None:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != STATE_MAGIC:
-        raise ValueError("bad strategy state magic")
-    (n_sections,) = struct.unpack_from("<I", blob, 4)
-    pos = 8
-    sections = {}
-    for _ in range(n_sections):
-        (tag_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        tag = blob[pos : pos + tag_len].decode("utf-8")
-        pos += tag_len
-        (payload_len,) = struct.unpack_from("<Q", blob, pos)
-        pos += 8
-        sections[tag] = blob[pos : pos + payload_len]
-        pos += payload_len
-    strategy.load_sections(sections)

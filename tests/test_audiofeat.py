@@ -1,4 +1,5 @@
 import math
+import os
 import wave
 
 import numpy as np
@@ -16,7 +17,6 @@ from clbench.audiofeat import (
     pool,
     read_wav,
     sample_cluster,
-    synth_features,
     trim_pad,
 )
 
@@ -216,25 +216,23 @@ class TestPool:
 
 class TestSynthFeatures:
     def test_vanishing_sigma_returns_means(self):
-        means = {"a": np.array([1.0, -2.0]), "b": np.array([3.0, 4.0])}
-        x, labels = synth_features(means, sigma=1e-300, n_per_class=3, seed=0)
-        assert labels == ["a"] * 3 + ["b"] * 3
-        assert np.array_equal(x[:3], np.tile(means["a"], (3, 1)))
-        assert np.array_equal(x[3:], np.tile(means["b"], (3, 1)))
+        mean = np.array([1.0, -2.0])
+        x = sample_cluster(mean, 1e-300, 3, np.random.default_rng(0))
+        assert np.array_equal(x, np.tile(mean, (3, 1)))
 
     def test_nearest_mean_separates_distant_clusters(self):
-        means = {0: np.zeros(8), 1: np.concatenate([[10.0], np.zeros(7)])}
-        x, labels = synth_features(means, sigma=1.0, n_per_class=500, seed=3)
-        labels = np.asarray(labels)
+        means = [np.zeros(8), np.concatenate([[10.0], np.zeros(7)])]
+        rng = np.random.default_rng(3)
+        x = np.vstack([sample_cluster(m, 1.0, 500, rng) for m in means])
+        labels = np.repeat([0, 1], 500)
         d0 = np.linalg.norm(x - means[0], axis=1)
         d1 = np.linalg.norm(x - means[1], axis=1)
         pred = (d1 < d0).astype(int)
         assert np.mean(pred == labels) > 0.99
 
     def test_same_seed_reproduces(self):
-        means = {"a": np.zeros(4), "b": np.ones(4)}
-        x1, _ = synth_features(means, sigma=2.0, n_per_class=10, seed=9)
-        x2, _ = synth_features(means, sigma=2.0, n_per_class=10, seed=9)
+        x1 = sample_cluster(np.ones(4), 2.0, 10, np.random.default_rng(9))
+        x2 = sample_cluster(np.ones(4), 2.0, 10, np.random.default_rng(9))
         assert np.array_equal(x1, x2)
 
     def test_nonpositive_sigma_rejected(self):
@@ -258,6 +256,19 @@ class TestFeatureCache:
         path = tmp_path / "features.fea1"
         audiofeat.write_feature_cache(path, audiofeat.cache_key(b"a"), np.zeros((2, 2)))
         assert audiofeat.read_feature_cache(path, audiofeat.cache_key(b"b")) is None
+
+    def test_failed_write_keeps_previous_cache(self, tmp_path):
+        path = tmp_path / "features.fea1"
+        key = audiofeat.cache_key(b"manifest-content")
+        audiofeat.write_feature_cache(path, key, np.ones((3, 2)))
+        before = path.read_bytes()
+        # an object matrix passes the shape checks, then fails its f32
+        # conversion after the header is written
+        unconvertible = np.array([[1.0, "not a number"]], dtype=object)
+        with pytest.raises(ValueError):
+            audiofeat.write_feature_cache(path, key, unconvertible)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["features.fea1"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.fea1"

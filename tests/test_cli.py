@@ -114,16 +114,14 @@ class TestGrid:
 
 class TestGenSynthetic:
     @pytest.mark.parametrize("scenario", ["DI", "CI"])
-    def test_writes_manifest_and_features(self, tmp_path, capsys, scenario):
+    def test_writes_only_the_manifest(self, tmp_path, capsys, scenario):
         out = str(tmp_path / "gen")
         assert main(["gen-synthetic", "--scenario", scenario, "--out", out, "--seed", "3"]) == EXIT_OK
         manifest_path = os.path.join(out, f"{scenario.lower()}_manifest.json")
-        data_path = os.path.join(out, f"{scenario.lower()}_features.fea1")
-        assert os.path.exists(manifest_path)
-        with open(data_path, "rb") as fh:
-            assert fh.read(4) == b"FEA1"
+        assert os.listdir(out) == [os.path.basename(manifest_path)]
         manifest = json.load(open(manifest_path))
         assert manifest["scenario"] == scenario
+        assert "validation: pass" in capsys.readouterr().out
 
     def test_reference_layout_has_published_counts(self, tmp_path):
         out = str(tmp_path / "ref")

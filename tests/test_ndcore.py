@@ -2,28 +2,29 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from clbench import ndcore
 from clbench.ndcore import (
     AdamState,
     ModelSpec,
-    ParamVector,
     adam_step,
     backward,
     ce_loss,
     forward,
     grad_check,
     init_params,
-    params_from_bytes,
-    params_to_bytes,
 )
 
 
 def make_params(spec, fill=0.0):
-    p = ParamVector(np.full(spec.n_params, fill), spec.layout())
-    return p
+    return np.full(spec.n_params, fill)
+
+
+def weights(spec, params, i):
+    return spec.layers(params)[i][0]
+
+
+def bias(spec, params, i):
+    return spec.layers(params)[i][1]
 
 
 class TestForward:
@@ -35,7 +36,7 @@ class TestForward:
     def test_identity_single_layer(self):
         spec = ModelSpec(input_dim=3, hidden_dims=(), output_dim=3)
         params = make_params(spec)
-        params.segment("w0")[...] = np.eye(3)
+        weights(spec, params, 0)[...] = np.eye(3)
         x = np.array([[0.5, -1.5, 2.0]])
         assert np.array_equal(forward(params, spec, x), x)
 
@@ -44,10 +45,10 @@ class TestForward:
         # relu -> [2.1, 0]; logits = [2.1*0.5+0.05, 2.1*-0.25-0.05] = [1.1, -0.575]
         spec = ModelSpec(input_dim=2, hidden_dims=(2,), output_dim=2)
         params = make_params(spec)
-        params.segment("w0")[...] = [[1.0, -1.0], [2.0, 0.5]]
-        params.segment("b0")[...] = [0.1, -0.2]
-        params.segment("w1")[...] = [[0.5, -0.25], [1.5, 1.0]]
-        params.segment("b1")[...] = [0.05, -0.05]
+        weights(spec, params, 0)[...] = [[1.0, -1.0], [2.0, 0.5]]
+        bias(spec, params, 0)[...] = [0.1, -0.2]
+        weights(spec, params, 1)[...] = [[0.5, -0.25], [1.5, 1.0]]
+        bias(spec, params, 1)[...] = [0.05, -0.05]
         logits = forward(params, spec, np.array([[1.0, 0.5]]))
         np.testing.assert_allclose(logits, [[1.1, -0.575]], atol=1e-15)
 
@@ -97,9 +98,9 @@ class TestBackward:
     def test_gradient_vanishes_at_saturation(self):
         spec = ModelSpec(input_dim=2, hidden_dims=(), output_dim=2)
         params = make_params(spec)
-        params.segment("w0")[...] = [[60.0, -60.0], [0.0, 0.0]]
+        weights(spec, params, 0)[...] = [[60.0, -60.0], [0.0, 0.0]]
         grad = backward(params, spec, np.array([[1.0, 0.0]]), [0])
-        assert np.linalg.norm(grad.values) < 1e-8
+        assert np.linalg.norm(grad) < 1e-8
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_central_differences(self, seed):
@@ -113,16 +114,16 @@ class TestBackward:
             if ndcore.min_abs_preactivation(params, spec, x) > 1e-4:
                 break
         y = rng.integers(0, 3, size=4)
-        analytic = backward(params, spec, x, y).values
+        analytic = backward(params, spec, x, y)
         h = 1e-5
         numeric = np.empty_like(analytic)
         for i in range(len(analytic)):
-            orig = params.values[i]
-            params.values[i] = orig + h
+            orig = params[i]
+            params[i] = orig + h
             up = ce_loss(forward(params, spec, x), y)
-            params.values[i] = orig - h
+            params[i] = orig - h
             down = ce_loss(forward(params, spec, x), y)
-            params.values[i] = orig
+            params[i] = orig
             numeric[i] = (up - down) / (2 * h)
         denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -133,8 +134,8 @@ class TestBackward:
         params = init_params(spec, rng)
         x = rng.normal(size=(3, 3))
         y = np.array([0, 1, 0])
-        single = backward(params, spec, x, y).values
-        doubled = backward(params, spec, np.vstack([x, x]), np.concatenate([y, y])).values
+        single = backward(params, spec, x, y)
+        doubled = backward(params, spec, np.vstack([x, x]), np.concatenate([y, y]))
         assert doubled == pytest.approx(single, abs=1e-15)
 
 
@@ -142,35 +143,29 @@ class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         spec = ModelSpec(input_dim=2, hidden_dims=(), output_dim=2)
         params = init_params(spec, np.random.default_rng(0))
-        state = AdamState.fresh(len(params), learning_rate=0.1)
-        new_params, new_state = adam_step(state, params, params.zeros_like())
-        assert np.array_equal(new_params.values, params.values)
+        state = AdamState.fresh(params.size, learning_rate=0.1)
+        new_params, new_state = adam_step(state, params, np.zeros_like(params))
+        assert np.array_equal(new_params, params)
         assert new_state.step == 1
 
     def test_first_step_closed_form(self):
         # m_hat/(sqrt(v_hat)+eps) = g/|g| on step 1, so update = -lr/(1+eps/|g|)
-        layout = (("w", 0, (1,)),)
-        params = ParamVector(np.array([0.3]), layout)
-        grad = ParamVector(np.array([2.0]), layout)
         state = AdamState.fresh(1, learning_rate=0.1)
-        new_params, _ = adam_step(state, params, grad)
-        assert new_params.values[0] - 0.3 == pytest.approx(-0.0999999995, abs=1e-12)
+        new_params, _ = adam_step(state, np.array([0.3]), np.array([2.0]))
+        assert new_params[0] - 0.3 == pytest.approx(-0.0999999995, abs=1e-12)
 
     def test_first_step_sign_symmetry(self):
-        layout = (("w", 0, (3,)),)
-        params = ParamVector(np.zeros(3), layout)
+        params = np.zeros(3)
         g = np.array([0.5, -2.0, 1.25])
-        state = AdamState.fresh(3, learning_rate=0.01)
-        up, _ = adam_step(state, params, ParamVector(g, layout))
-        down, _ = adam_step(AdamState.fresh(3, learning_rate=0.01), params, ParamVector(-g, layout))
-        assert np.array_equal(up.values, -down.values)
+        up, _ = adam_step(AdamState.fresh(3, learning_rate=0.01), params, g)
+        down, _ = adam_step(AdamState.fresh(3, learning_rate=0.01), params, -g)
+        assert np.array_equal(up, -down)
 
     def test_length_mismatch(self):
-        layout = (("w", 0, (2,)),)
-        params = ParamVector(np.zeros(2), layout)
+        params = np.zeros(2)
         state = AdamState.fresh(3, learning_rate=0.01)
         with pytest.raises(ValueError):
-            adam_step(state, params, params.zeros_like())
+            adam_step(state, params, np.zeros_like(params))
 
 
 class TestGradCheck:
@@ -188,63 +183,30 @@ class TestGradCheck:
         assert grad_check(spec, seed=seed, h=1e-5) < 1e-4
 
 
-@st.composite
-def random_layouts(draw):
-    n_segs = draw(st.integers(1, 4))
-    layout = []
-    offset = 0
-    for i in range(n_segs):
-        shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
-        layout.append((f"seg{i}", offset, shape))
-        offset += int(np.prod(shape))
-    return tuple(layout), offset
-
-
-class TestParamVector:
-    @given(random_layouts(), st.integers(0, 2**31 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_flatten_unflatten_roundtrip(self, layout_size, seed):
-        layout, size = layout_size
-        values = np.random.default_rng(seed).normal(size=size)
-        params = ParamVector(values.copy(), layout)
-        rebuilt = ParamVector.from_segments(layout, params.segments())
-        assert np.array_equal(rebuilt.values, values)
-
-    def test_gap_in_layout_rejected(self):
-        with pytest.raises(ValueError, match="contiguous"):
-            ParamVector(np.zeros(5), (("a", 0, (2,)), ("b", 3, (2,))))
-
-    def test_partial_cover_rejected(self):
-        with pytest.raises(ValueError, match="cover"):
-            ParamVector(np.zeros(5), (("a", 0, (2,)),))
-
+class TestInitParams:
     def test_init_is_seeded_glorot_with_zero_bias(self):
         spec = ModelSpec(input_dim=10, hidden_dims=(20,), output_dim=5)
         a = init_params(spec, np.random.default_rng(42))
         b = init_params(spec, np.random.default_rng(42))
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.segment("b0"), np.zeros(20))
+        assert np.array_equal(a, b)
+        assert np.array_equal(bias(spec, a, 0), np.zeros(20))
         bound = math.sqrt(6.0 / (10 + 20))
-        w = a.segment("w0")
+        w = weights(spec, a, 0)
         assert np.abs(w).max() <= bound
 
 
-class TestSerialization:
-    def test_blob_roundtrip(self):
-        spec = ModelSpec(input_dim=3, hidden_dims=(4,), output_dim=2)
-        params = init_params(spec, np.random.default_rng(9))
-        restored = params_from_bytes(params_to_bytes(params))
-        assert np.array_equal(restored.values, params.values)
-        assert restored.layout == params.layout
+class TestModelSpec:
+    def test_layer_views_tile_the_vector_in_order(self):
+        spec = ModelSpec(input_dim=3, hidden_dims=(4, 2), output_dim=5)
+        flat = np.arange(spec.n_params, dtype=np.float64)
+        pieces = [part.ravel() for layer in spec.layers(flat) for part in layer]
+        assert [p.shape for p in pieces] == [(12,), (4,), (8,), (2,), (10,), (5,)]
+        assert np.array_equal(np.concatenate(pieces), flat)
 
-    def test_magic_checked(self):
-        with pytest.raises(ValueError, match="magic"):
-            params_from_bytes(b"XXXX" + b"\x00" * 16)
-
-    def test_file_roundtrip(self, tmp_path):
+    def test_views_write_through(self):
         spec = ModelSpec(input_dim=2, hidden_dims=(), output_dim=2)
-        params = init_params(spec, np.random.default_rng(1))
-        path = tmp_path / "weights.ndc"
-        ndcore.save_params(params, path)
-        assert path.read_bytes()[:4] == b"NDC1"
-        assert np.array_equal(ndcore.load_params(path).values, params.values)
+        flat = np.zeros(spec.n_params)
+        W, b = spec.layers(flat)[0]
+        W[1, 0] = 3.0
+        b[1] = -1.0
+        assert flat.tolist() == [0.0, 0.0, 3.0, 0.0, 0.0, -1.0]

@@ -13,7 +13,6 @@ from clbench.scenarios import (
     load_manifest,
     reference_ci_manifest,
     reference_di_manifest,
-    seen_classes,
     synthetic_ci_manifest,
     synthetic_di_manifest,
     validate_stream,
@@ -83,10 +82,10 @@ class TestCiStream:
     def test_reference_counts_match_published_benchmark(self):
         stream = build_ci_stream(reference_ci_manifest(seed=1))
         assert [t.n_train for t in stream.tasks] == [4320, 4178, 4037, 1425, 1425, 2138]
-        cumulative = [stream.seen_test_pool(t)[0].shape[0] for t in range(1, 7)]
-        assert cumulative == [1200, 2361, 3483, 3879, 4275, 4869]
+        report = validate_stream(stream)
+        assert report.stats["cumulative_test_counts"] == [1200, 2361, 3483, 3879, 4275, 4869]
         assert stream.n_classes == 13
-        assert validate_stream(stream).ok
+        assert report.ok
 
     def test_task_groups_follow_machine_layout(self):
         stream = build_ci_stream(reference_ci_manifest())
@@ -110,21 +109,21 @@ class TestCiStream:
 class TestSeenClasses:
     def test_ci_prefixes(self):
         stream = build_ci_stream(small_ci_manifest())
-        first = seen_classes(stream, 1)
+        first = stream.seen_classes(1)
         assert {stream.labels[i] for i in first} == {"ToyCar", "ToyConveyor"}
-        assert seen_classes(stream, 6) == frozenset(range(13))
+        assert stream.seen_classes(6) == frozenset(range(13))
 
     def test_di_fixed_label_space(self):
         stream = build_di_stream(small_di_manifest())
         for t in range(1, stream.n_tasks + 1):
-            assert seen_classes(stream, t) == frozenset({0, 1})
+            assert stream.seen_classes(t) == frozenset({0, 1})
 
     def test_out_of_range(self):
         stream = build_di_stream(small_di_manifest())
         with pytest.raises(ValueError):
-            seen_classes(stream, 0)
+            stream.seen_classes(0)
         with pytest.raises(ValueError):
-            seen_classes(stream, stream.n_tasks + 1)
+            stream.seen_classes(stream.n_tasks + 1)
 
 
 def clone_task(task, **overrides):
