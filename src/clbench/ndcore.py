@@ -120,7 +120,7 @@ def _check_labels(labels, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError("labels must be 1-D")
-    labels = labels.astype(np.int64)
+    labels = labels.astype(np.int64, copy=False)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"label out of range for {n_classes} classes")
     return labels
@@ -165,6 +165,47 @@ def backward_from_dlogits(
             # acts[i] is post-ReLU; its positive support marks active units
             d = (d @ layers[i][0].T) * (acts[i] > 0.0)
     return grad
+
+
+def _sum_squared_row_grads(params: np.ndarray, spec: ModelSpec, batch: np.ndarray, labels) -> np.ndarray:
+    """sum(backward(params, spec, batch[i:i+1], labels[i:i+1]) ** 2) over
+    rows in order, bit for bit.
+
+    Rows run in chunks of stacked one-row batches, so every matmul is the
+    one-row BLAS call of the per-row path (a 2-D batched matmul rounds
+    differently). A layer's squared (W, b) gradients fill one (rows, size)
+    block, at most 1 MiB, that is folded into the total row by row: an
+    axis-0 reduce adds rows sequentially when a row has two or more entries.
+    """
+    batch = _check_batch(spec, batch)
+    labels = _check_labels(labels, spec.output_dim)
+    layers = spec.layers(params)
+    last = len(layers) - 1
+    total = np.zeros(spec.n_params)
+    step = max(1, (1 << 17) // max(end - w for w, _, end, _, _ in spec._offsets))
+    for start in range(0, batch.shape[0], step):
+        h = batch[start : start + step][:, None, :]
+        acts = []
+        for i, (W, b) in enumerate(layers):
+            acts.append(h)
+            pre = np.matmul(h, W) + b
+            h = pre if i == last else np.maximum(pre, 0.0)
+        if not np.isfinite(h).all():
+            raise FloatingPointError("non-finite logits")
+        d = _softmax(h[:, 0, :])
+        d[np.arange(len(d)), labels[start : start + step]] -= 1.0
+        d = d[:, None, :]  # the division by the one-row batch is a no-op
+        for i in range(last, -1, -1):
+            w, b, end, fan_in, fan_out = spec._offsets[i]
+            blk = np.empty((len(d), end - w))
+            np.multiply(acts[i].transpose(0, 2, 1), d, out=blk[:, : b - w].reshape(-1, fan_in, fan_out))
+            blk[:, b - w :] = d[:, 0, :]
+            blk *= blk
+            blk[0] += total[w:end]
+            total[w:end] = np.add.reduce(blk, axis=0)
+            if i > 0:
+                d = np.matmul(d, layers[i][0].T) * (acts[i] > 0.0)
+    return total
 
 
 def backward(params: np.ndarray, spec: ModelSpec, batch: np.ndarray, labels) -> np.ndarray:

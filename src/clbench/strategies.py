@@ -9,6 +9,7 @@ access-audited interface that records which tasks each session touched.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,10 +243,7 @@ def estimate_fisher(
     if n == 0:
         raise ValueError("cannot estimate Fisher on empty data")
     idx = np.arange(n) if budget >= n else np.sort(rng.choice(n, size=budget, replace=False))
-    total = np.zeros(params.size)
-    for i in idx:
-        total += ndcore.backward(params, spec, x[i : i + 1], y[i : i + 1]) ** 2
-    return total / idx.size
+    return ndcore._sum_squared_row_grads(params, spec, x[idx], y[idx]) / idx.size
 
 
 @dataclass
@@ -346,26 +344,58 @@ def lwf_kd_dlogits(teacher_logits, student_logits, tau: float, alpha: float) -> 
 # Memory buffers
 
 
-@dataclass
 class MemoryBuffer:
-    capacity: int
-    policy: str  # "reservoir" | "class-balanced-greedy" | "per-task-ring"
-    features: list = field(default_factory=list)
-    labels: list = field(default_factory=list)
-    origins: list = field(default_factory=list)
-    seen: int = 0
+    """Fixed-capacity sample store over preallocated arrays.
+
+    `features`, `labels` and `origins` are the filled prefix; the feature
+    matrix is sized on the first insert. `slots` maps each class to its
+    occupied slots in ascending order, kept up to date on every write.
+    """
+
+    def __init__(self, capacity: int, policy: str):
+        self.capacity = capacity
+        self.policy = policy  # "reservoir" | "class-balanced-greedy"
+        self.seen = 0
+        self.slots: dict[int, list[int]] = {}
+        self._size = 0
+        self._features = np.empty((0, 0))
+        self._labels = np.empty(capacity, dtype=np.int64)
+        self._origins = np.empty(capacity, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return self._size
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.features), np.asarray(self.labels, dtype=np.int64)
+    @property
+    def features(self) -> np.ndarray:
+        return self._features[: self._size]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._labels[: self._size]
+
+    @property
+    def origins(self) -> np.ndarray:
+        return self._origins[: self._size]
 
     def class_counts(self) -> dict:
-        counts: dict = {}
-        for label in self.labels:
-            counts[label] = counts.get(label, 0) + 1
-        return counts
+        """Samples per class, keyed in order of each class's first slot."""
+        return {c: len(s) for c, s in sorted(self.slots.items(), key=lambda item: item[1][0])}
+
+    def write(self, slot: int, feature, label: int, origin) -> None:
+        """Store a sample in an occupied slot or in the next free one."""
+        if slot == self._size:
+            if slot == 0:
+                self._features = np.empty((self.capacity, *np.shape(feature)))
+            self._size += 1
+        else:
+            evicted = int(self._labels[slot])
+            self.slots[evicted].remove(slot)
+            if not self.slots[evicted]:
+                del self.slots[evicted]
+        self._features[slot] = feature
+        self._labels[slot] = label
+        self._origins[slot] = origin
+        bisect.insort(self.slots.setdefault(label, []), slot)
 
 
 def reservoir_insert(buffer: MemoryBuffer, feature, label, origin, rng) -> None:
@@ -377,15 +407,11 @@ def reservoir_insert(buffer: MemoryBuffer, feature, label, origin, rng) -> None:
     if buffer.capacity == 0:
         return
     if len(buffer) < buffer.capacity:
-        buffer.features.append(np.asarray(feature, dtype=np.float64))
-        buffer.labels.append(int(label))
-        buffer.origins.append(int(origin))
+        buffer.write(len(buffer), feature, int(label), origin)
         return
     slot = int(rng.integers(0, buffer.seen))
     if slot < buffer.capacity:
-        buffer.features[slot] = np.asarray(feature, dtype=np.float64)
-        buffer.labels[slot] = int(label)
-        buffer.origins[slot] = int(origin)
+        buffer.write(slot, feature, int(label), origin)
 
 
 def gdumb_insert_balanced(buffer: MemoryBuffer, feature, label, origin, rng) -> None:
@@ -399,9 +425,7 @@ def gdumb_insert_balanced(buffer: MemoryBuffer, feature, label, origin, rng) -> 
         return
     label = int(label)
     if len(buffer) < buffer.capacity:
-        buffer.features.append(np.asarray(feature, dtype=np.float64))
-        buffer.labels.append(label)
-        buffer.origins.append(int(origin))
+        buffer.write(len(buffer), feature, label, origin)
         return
     counts = buffer.class_counts()
     largest = max(counts.values())
@@ -409,11 +433,8 @@ def gdumb_insert_balanced(buffer: MemoryBuffer, feature, label, origin, rng) -> 
         return
     victims = [c for c, n in counts.items() if n == largest]
     victim_class = victims[int(rng.integers(0, len(victims)))] if len(victims) > 1 else victims[0]
-    slots = [i for i, c in enumerate(buffer.labels) if c == victim_class]
-    slot = slots[int(rng.integers(0, len(slots)))]
-    buffer.features[slot] = np.asarray(feature, dtype=np.float64)
-    buffer.labels[slot] = label
-    buffer.origins[slot] = int(origin)
+    slots = buffer.slots[victim_class]
+    buffer.write(slots[int(rng.integers(0, len(slots)))], feature, label, origin)
 
 
 # ---------------------------------------------------------------------------
@@ -697,9 +718,7 @@ class ReplayStrategy(_BufferedStrategy):
             return bx, by
         k = min(self._cfg.batch_size, len(self.buffer))
         idx = self.rngs.memory.choice(len(self.buffer), size=k, replace=False)
-        mem_x = np.stack([self.buffer.features[i] for i in idx])
-        mem_y = np.asarray([self.buffer.labels[i] for i in idx], dtype=np.int64)
-        return np.vstack([bx, mem_x]), np.concatenate([by, mem_y])
+        return np.vstack([bx, self.buffer.features[idx]]), np.concatenate([by, self.buffer.labels[idx]])
 
     def after_session(self, params, access, t):
         if self.buffer.capacity == 0:
@@ -730,7 +749,7 @@ class GDumbStrategy(_BufferedStrategy):
         self.diagnostics.setdefault("buffer_size", []).append(len(self.buffer))
         if len(self.buffer) == 0:
             return np.zeros((0, self.spec.input_dim)), np.zeros(0, dtype=np.int64)
-        return self.buffer.arrays()
+        return self.buffer.features, self.buffer.labels
 
 
 class _EpisodicStrategy(Strategy):

@@ -132,6 +132,60 @@ class TestEstimateFisher:
         with pytest.raises(ValueError):
             estimate_fisher(params, spec, np.zeros((0, 2)), np.zeros(0, dtype=int), 4, np.random.default_rng(0))
 
+    # Rows are processed in chunks of (1 << 17) // max(fan_in * fan_out +
+    # fan_out) rows: 15 for hidden (128, 64) from 24 inputs, so 40 rows run
+    # as 15 + 15 + 10 and 32 as 15 + 15 + 2; one row for (400, (400,)); a
+    # single chunk for the rest. The (1, (1,)) model has layers whose weight
+    # block is a single entry.
+    @pytest.mark.parametrize(
+        "input_dim, hidden, classes, n, budget",
+        [
+            (5, (), 2, 30, 12),
+            (5, (), 3, 9, 50),
+            (3, (1,), 2, 25, 25),
+            (1, (1,), 2, 40, 40),
+            (12, (7,), 4, 40, 17),
+            (12, (32, 16), 11, 60, 60),
+            (12, (32, 16), 11, 60, 23),
+            (24, (128, 64), 11, 90, 40),
+            (24, (128, 64), 11, 32, 50),
+            (400, (400,), 3, 6, 4),
+        ],
+    )
+    def test_equals_sequential_per_example_sum(self, input_dim, hidden, classes, n, budget):
+        spec = ModelSpec(input_dim=input_dim, hidden_dims=hidden, output_dim=classes)
+        rng = np.random.default_rng(input_dim * 1000 + n)
+        params = init_params(spec, rng)
+        params += rng.normal(scale=0.3, size=params.size)
+        x = rng.normal(scale=2.0, size=(n, input_dim))
+        y = rng.integers(0, classes, size=n)
+
+        draw = np.random.default_rng(11)
+        idx = np.arange(n) if budget >= n else np.sort(draw.choice(n, size=budget, replace=False))
+        expected = np.zeros(spec.n_params)
+        for i in idx:
+            expected += ndcore.backward(params, spec, x[i : i + 1], y[i : i + 1]) ** 2
+        expected /= idx.size
+
+        fisher_rng = np.random.default_rng(11)
+        fisher = estimate_fisher(params, spec, x, y, budget, fisher_rng)
+        assert np.array_equal(fisher, expected)
+        assert fisher_rng.bit_generator.state == draw.bit_generator.state
+
+    def test_out_of_range_label_rejected(self):
+        spec, x, _ = self.spec_and_data()
+        params = init_params(spec, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            estimate_fisher(params, spec, x, np.array([0, 2]), 2, np.random.default_rng(0))
+
+    def test_overflowing_logits_raise(self):
+        spec, _, _ = self.spec_and_data()
+        params = np.zeros(spec.n_params)
+        spec.layers(params)[0][0][...] = [[1e200, -1e200], [0.0, 0.0]]
+        x = np.array([[1e200, 0.0], [1.0, 0.0]])
+        with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
+            estimate_fisher(params, spec, x, np.array([0, 1]), 2, np.random.default_rng(0))
+
 
 class TestSi:
     def test_no_movement_no_penalty(self):
@@ -305,6 +359,91 @@ class TestGdumbBuffer:
         counts = buf.class_counts()
         assert len(buf) == capacity
         assert max(counts.values()) - min(counts.values()) <= 1
+
+
+class _ListBuffer:
+    """The list-based buffer the array buffer replaced, kept as an oracle."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.features, self.labels, self.origins = [], [], []
+        self.seen = 0
+
+    def class_counts(self):
+        counts = {}
+        for label in self.labels:
+            counts[label] = counts.get(label, 0) + 1
+        return counts
+
+    def put(self, slot, feature, label, origin):
+        if slot == len(self.labels):
+            self.features.append(np.asarray(feature, dtype=np.float64))
+            self.labels.append(int(label))
+            self.origins.append(int(origin))
+        else:
+            self.features[slot] = np.asarray(feature, dtype=np.float64)
+            self.labels[slot] = int(label)
+            self.origins[slot] = int(origin)
+
+
+def _list_reservoir_insert(buf, feature, label, origin, rng):
+    buf.seen += 1
+    if buf.capacity == 0:
+        return
+    if len(buf.labels) < buf.capacity:
+        buf.put(len(buf.labels), feature, label, origin)
+        return
+    slot = int(rng.integers(0, buf.seen))
+    if slot < buf.capacity:
+        buf.put(slot, feature, label, origin)
+
+
+def _list_gdumb_insert(buf, feature, label, origin, rng):
+    buf.seen += 1
+    if buf.capacity == 0:
+        return
+    label = int(label)
+    if len(buf.labels) < buf.capacity:
+        buf.put(len(buf.labels), feature, label, origin)
+        return
+    counts = buf.class_counts()
+    largest = max(counts.values())
+    if counts.get(label, 0) >= largest:
+        return
+    victims = [c for c, n in counts.items() if n == largest]
+    victim_class = victims[int(rng.integers(0, len(victims)))] if len(victims) > 1 else victims[0]
+    slots = [i for i, c in enumerate(buf.labels) if c == victim_class]
+    buf.put(slots[int(rng.integers(0, len(slots)))], feature, label, origin)
+
+
+class TestBufferMatchesListOracle:
+    @given(
+        st.sampled_from(["reservoir", "class-balanced-greedy"]),
+        st.integers(0, 29),
+        # (class, run length): long runs make bursty streams, runs of one
+        # make uniform ones
+        st.lists(st.tuples(st.integers(0, 6), st.integers(1, 25)), max_size=12),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_contents_counts_and_draws(self, policy, capacity, runs, seed):
+        insert, oracle_insert = {
+            "reservoir": (reservoir_insert, _list_reservoir_insert),
+            "class-balanced-greedy": (gdumb_insert_balanced, _list_gdumb_insert),
+        }[policy]
+        buf, oracle = MemoryBuffer(capacity=capacity, policy=policy), _ListBuffer(capacity)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        labels = np.array([c for c, run in runs for _ in range(run)], dtype=np.int64)
+        features = np.random.default_rng(seed + 1).normal(size=(labels.size, 3))
+        for i, label in enumerate(labels):
+            insert(buf, features[i], label, i // 7, rng)
+            oracle_insert(oracle, features[i], label, i // 7, oracle_rng)
+            assert list(buf.class_counts().items()) == list(oracle.class_counts().items())
+        assert buf.seen == oracle.seen
+        assert buf.features.tolist() == [f.tolist() for f in oracle.features]
+        assert buf.labels.tolist() == oracle.labels
+        assert buf.origins.tolist() == oracle.origins
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestAgemProject:
@@ -584,10 +723,8 @@ class TestGDumbDeterminism:
         single = Model(spec=spec, params=init_params(spec, one.rngs.init_rng()))
         single = train_task(one, single, StreamAccess([(merged_x, merged_y)]), 1, cfg)
 
-        assert one.buffer.labels == two.buffer.labels
-        assert np.array_equal(
-            np.asarray(one.buffer.features), np.asarray(two.buffer.features)
-        )
+        assert np.array_equal(one.buffer.labels, two.buffer.labels)
+        assert np.array_equal(one.buffer.features, two.buffer.features)
         assert np.array_equal(single.params, model.params)
 
 
