@@ -10,6 +10,7 @@ bit-for-bit.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import glob as globmod
 import hashlib
 import itertools
@@ -28,7 +29,6 @@ from .strategies import Model, StrategyConfig, StreamAccess, TrainConfig
 __all__ = [
     "ExperimentConfig",
     "RunRecord",
-    "StreamValidationError",
     "scenario_defaults",
     "published_strategy_defaults",
     "config_hash",
@@ -49,12 +49,6 @@ SCENARIO_DEFAULTS = {
 }
 
 REPORT_HEADER = "approach,bwt,fwt,a,acc"
-
-
-class StreamValidationError(RuntimeError):
-    def __init__(self, report: scenarios.ValidationReport):
-        super().__init__(f"stream validation failed: {report.violations}")
-        self.report = report
 
 
 def scenario_defaults(scenario: str) -> dict:
@@ -90,7 +84,6 @@ class ExperimentConfig:
     batch_size: int | None = None
     learning_rate: float | None = None
     seed: int = 0
-    percent: bool = True
     standardize: bool = True
     pool_mode: str = "mean-over-time"
     feature_cache: str | None = None
@@ -126,7 +119,6 @@ def _canonical_config(config: ExperimentConfig, manifest: dict) -> dict:
         "batch_size": config.batch_size,
         "learning_rate": config.learning_rate,
         "seed": config.seed,
-        "percent": config.percent,
         "standardize": config.standardize,
         "pool_mode": config.pool_mode,
     }
@@ -145,7 +137,6 @@ class RunRecord:
     label: str
     scenario: str
     seed: int
-    percent: bool
     matrix: AccuracyMatrix
     metric_summary: dict
     curves: dict | None
@@ -244,9 +235,6 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     scenario = manifest["scenario"]
     cfg = resolve_train_config(config, scenario)
     stream = scenarios.build_stream(manifest, extractor=_build_extractor(config, manifest))
-    validation = scenarios.validate_stream(stream)
-    if not validation.ok:
-        raise StreamValidationError(validation)
 
     train_sets, test_sets = _standardized_sets(stream, config.standardize)
     spec = ModelSpec(
@@ -299,7 +287,6 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         label=f"{config.strategy.label()}[seed={config.seed}]",
         scenario=scenario,
         seed=config.seed,
-        percent=config.percent,
         matrix=matrix,
         metric_summary=summary,
         curves=curves,
@@ -328,12 +315,26 @@ def _expand_strategy(entry: dict) -> list[StrategyConfig]:
     return out
 
 
+def _reject_unknown_keys(raw: dict, known, what: str) -> None:
+    """ValueError naming every key of `raw` that is not in `known`."""
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+
+
+# top-level grid keys shared by every cell's ExperimentConfig
+GRID_SHARED_KEYS = tuple(
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in ("strategy", "seed")
+)
+
+
 def expand_grid(grid: dict) -> list:
     """Cartesian product of strategy variants and seeds into run configs.
 
-    An invalid strategy entry becomes an error cell rather than aborting the
-    whole grid.
+    An unknown top-level key raises; an invalid strategy entry becomes an
+    error cell rather than aborting the whole grid.
     """
+    _reject_unknown_keys(grid, GRID_SHARED_KEYS + ("strategies", "seeds"), "grid")
     strategies_in = grid.get("strategies")
     seeds = grid.get("seeds")
     if not strategies_in or not seeds:
@@ -346,22 +347,7 @@ def expand_grid(grid: dict) -> list:
             strategy_configs.append(
                 {"error": f"{type(exc).__name__}: {exc}", "label": str(entry.get("kind")), "seed": None}
             )
-    base = {
-        k: grid[k]
-        for k in (
-            "manifest",
-            "hidden_dims",
-            "epochs",
-            "batch_size",
-            "learning_rate",
-            "percent",
-            "standardize",
-            "pool_mode",
-            "feature_cache",
-            "out_dir",
-        )
-        if k in grid
-    }
+    base = {k: grid[k] for k in GRID_SHARED_KEYS if k in grid}
     configs = []
     for strategy_config, seed in itertools.product(strategy_configs, seeds):
         if isinstance(strategy_config, dict):  # error cell
@@ -394,23 +380,22 @@ def run_grid(grid: dict, workers: int = 1):
 # Reports
 
 
-def _fmt(value, percent: bool) -> str:
+def _fmt(value) -> str:
     if value is None:
         return "--"
-    return f"{value * 100.0:.2f}" if percent else f"{value:.4f}"
+    return f"{value * 100.0:.2f}"
 
 
-def report(records: list[RunRecord], fmt: str = "text", percent: bool | None = None) -> str:
-    """Per-approach metric table; seeds are listed separately plus a mean row
-    per approach when several seeds share a configuration."""
+def report(records: list[RunRecord], fmt: str = "text") -> str:
+    """Per-approach metric table in percent with two decimals; seeds are
+    listed separately plus a mean row per approach when several seeds share a
+    configuration."""
     records = [r for r in records if isinstance(r, RunRecord)]
     if not records:
         raise ValueError("no records to report")
     scenario_kinds = {r.scenario for r in records}
     if len(scenario_kinds) > 1:
         raise ValueError(f"mixed scenarios in one report: {sorted(scenario_kinds)}")
-    if percent is None:
-        percent = records[0].percent
 
     rows: list[tuple[str, list]] = []
     groups: dict[str, list[RunRecord]] = {}
@@ -432,12 +417,12 @@ def report(records: list[RunRecord], fmt: str = "text", percent: bool | None = N
     if fmt == "csv":
         lines = [REPORT_HEADER]
         for label, values in rows:
-            lines.append(",".join([label] + [_fmt(v, percent) for v in values]))
+            lines.append(",".join([label] + [_fmt(v) for v in values]))
         return "\n".join(lines) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
     header = ["approach", "bwt", "fwt", "a", "acc"]
-    table = [[label] + [_fmt(v, percent) for v in values] for label, values in rows]
+    table = [[label] + [_fmt(v) for v in values] for label, values in rows]
     widths = [max(len(row[i]) for row in [header] + table) for i in range(5)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for row in table:
@@ -450,16 +435,16 @@ def curve_csv(record: RunRecord) -> str:
     if record.curves is None:
         raise ValueError("Joint runs have no session curve")
     curve = record.curves["all_tasks" if record.scenario == "DI" else "seen_tasks"]
-    scale = 100.0 if record.percent else 1.0
     lines = ["session,mean_accuracy"]
     for t, value in enumerate(curve, start=1):
-        lines.append(f"{t},{format(value * scale, '.17g')}")
+        lines.append(f"{t},{format(value, '.17g')}")
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Persistence: runs/<hash>/{config.json, R.csv, metrics.json, curve.csv,
-# diagnostics.json}
+# diagnostics.json}. Accuracies are stored as fractions, so they reload
+# bit-for-bit; only `report` converts to percent.
 
 
 def record_dir(record: RunRecord, out_dir: str) -> str:
@@ -472,18 +457,15 @@ def save_record(record: RunRecord, out_dir: str) -> str:
     with open(os.path.join(path, "config.json"), "w") as fh:
         json.dump(record.config_json, fh, indent=2, sort_keys=True)
     with open(os.path.join(path, "R.csv"), "w") as fh:
-        fh.write(metrics.matrix_to_csv(record.matrix, percent=record.percent))
-    scale = 100.0 if record.percent else 1.0
+        fh.write(metrics.matrix_to_csv(record.matrix))
     summary = {
         "label": record.label,
         "scenario": record.scenario,
         "seed": record.seed,
-        "mode": "percent" if record.percent else "fraction",
-        "metrics": {
-            k: (None if v is None else v * scale) for k, v in record.metric_summary.items()
-        },
+        "mode": "fraction",
+        "metrics": record.metric_summary,
         "curves": record.curves,
-        "mask": json.loads(metrics.mask_sidecar(record.matrix, record.percent)),
+        "mask": json.loads(metrics.mask_sidecar(record.matrix)),
     }
     with open(os.path.join(path, "metrics.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -506,13 +488,10 @@ def load_record(path: str) -> RunRecord:
         config_json = json.load(fh)
     with open(os.path.join(path, "metrics.json")) as fh:
         summary = json.load(fh)
-    percent = summary["mode"] == "percent"
+    if summary.get("mode") != "fraction":
+        raise ValueError(f"{path}: record mode {summary.get('mode')!r}, expected 'fraction'")
     with open(os.path.join(path, "R.csv")) as fh:
-        matrix = metrics.matrix_from_csv(fh.read(), percent=percent)
-    scale = 100.0 if percent else 1.0
-    metric_summary = {
-        k: (None if v is None else v / scale) for k, v in summary["metrics"].items()
-    }
+        matrix = metrics.matrix_from_csv(fh.read())
     diagnostics = {}
     diag_path = os.path.join(path, "diagnostics.json")
     if os.path.exists(diag_path):
@@ -523,9 +502,8 @@ def load_record(path: str) -> RunRecord:
         label=summary["label"],
         scenario=summary["scenario"],
         seed=summary["seed"],
-        percent=percent,
         matrix=matrix,
-        metric_summary=metric_summary,
+        metric_summary=summary["metrics"],
         curves=summary.get("curves"),
         session_seconds=diagnostics.get("session_seconds", []),
         diagnostics=diagnostics,

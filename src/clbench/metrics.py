@@ -4,9 +4,9 @@ R[t][j] is the accuracy on task j's test split after training session t
 (1-based). Backward transfer averages the drop of earlier tasks, forward
 transfer averages zero-shot accuracy on future tasks, final accuracy is the
 mean of the last row, and the incremental average covers the whole lower
-triangle. All functions operate on fractions in [0, 1]; percent reporting
-multiplies the finished scalars by 100 at the output boundary so the two
-modes differ by exactly that factor.
+triangle. All functions operate on fractions in [0, 1], and the CSV and
+sidecar forms store fractions too, so a matrix reloads bit-for-bit; only the
+report tables print percentages.
 """
 
 from __future__ import annotations
@@ -136,36 +136,34 @@ def session_curve(matrix: AccuracyMatrix, mode: str = "all-tasks") -> np.ndarray
     return np.array([matrix.values[t, : t + 1].mean() for t in range(T)])
 
 
-def matrix_to_csv(matrix: AccuracyMatrix, percent: bool = False) -> str:
+def matrix_to_csv(matrix: AccuracyMatrix) -> str:
     """One row per session; unfilled cells stay empty. Full float precision
     so identical matrices serialize byte-identically."""
     lines = [",".join(f"test_{j}" for j in range(1, matrix.T + 1))]
-    scale = 100.0 if percent else 1.0
     for t in range(matrix.T):
         cells = [
-            format(matrix.values[t, j] * scale, ".17g") if matrix.filled[t, j] else ""
+            format(matrix.values[t, j], ".17g") if matrix.filled[t, j] else ""
             for j in range(matrix.T)
         ]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
-def matrix_from_csv(text: str, percent: bool = False) -> AccuracyMatrix:
+def matrix_from_csv(text: str) -> AccuracyMatrix:
     rows = [line.split(",") for line in text.strip().split("\n")[1:]]
     matrix = AccuracyMatrix(T=len(rows))
-    scale = 100.0 if percent else 1.0
     for t, row in enumerate(rows, start=1):
         for j, cell in enumerate(row, start=1):
             if cell:
-                matrix.record(t, j, float(cell) / scale)
+                matrix.record(t, j, float(cell))
     return matrix
 
 
-def mask_sidecar(matrix: AccuracyMatrix, percent: bool = False) -> str:
+def mask_sidecar(matrix: AccuracyMatrix) -> str:
     return json.dumps(
         {
             "T": matrix.T,
-            "mode": "percent" if percent else "fraction",
+            "mode": "fraction",
             "filled": matrix.filled.astype(int).tolist(),
         }
     )

@@ -36,13 +36,12 @@ from . import audiofeat
 
 __all__ = [
     "ManifestError",
+    "StreamValidationError",
     "Task",
     "TaskStream",
     "ValidationReport",
     "load_manifest",
     "build_stream",
-    "build_di_stream",
-    "build_ci_stream",
     "validate_stream",
     "synthetic_di_manifest",
     "synthetic_ci_manifest",
@@ -73,6 +72,14 @@ DI_TASK_NAMES = (
 
 class ManifestError(ValueError):
     """Malformed manifest or a stream that violates its scenario contract."""
+
+
+class StreamValidationError(ManifestError):
+    """A built stream broke a `validate_stream` rule; `.report` lists each."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__(f"stream validation failed: {report.violations}")
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -224,13 +231,6 @@ def _default_extractor(path):
     return audiofeat.extract_file(path, audiofeat.LogMelConfig())
 
 
-def build_stream(manifest: dict, extractor=None) -> TaskStream:
-    _check_manifest(manifest)
-    if manifest["scenario"] == "DI":
-        return build_di_stream(manifest, extractor)
-    return build_ci_stream(manifest, extractor)
-
-
 def _build_tasks(manifest: dict, extractor) -> tuple[tuple[Task, ...], tuple[str, ...]]:
     extractor = extractor or _default_extractor
     labels = _global_labels(manifest)
@@ -263,42 +263,16 @@ def _build_tasks(manifest: dict, extractor) -> tuple[tuple[Task, ...], tuple[str
     return tuple(tasks), labels
 
 
-def build_di_stream(manifest: dict, extractor=None) -> TaskStream:
-    """DI stream: fixed two-class label space, shifted domains per task."""
+def build_stream(manifest: dict, extractor=None) -> TaskStream:
+    """Build the manifest's stream and check it with `validate_stream`, the
+    one rule set; a stream that breaks any rule raises StreamValidationError."""
     _check_manifest(manifest)
-    if manifest["scenario"] != "DI":
-        raise ManifestError("build_di_stream requires a DI manifest")
     tasks, labels = _build_tasks(manifest, extractor)
-    if len(labels) != 2:
-        raise ManifestError(f"DI streams need exactly two labels, got {len(labels)}")
-    first = tasks[0].label_set
-    for task in tasks:
-        if task.label_set != first:
-            raise ManifestError(
-                f"DI label-set mismatch: task {task.id} has a different label set"
-            )
-        counts = np.bincount(task.test_y, minlength=len(labels))
-        if counts.min() != counts.max():
-            raise ManifestError(
-                f"DI test split of task {task.id} is not class-balanced: {counts.tolist()}"
-            )
-    return TaskStream(kind="DI", tasks=tasks, labels=labels)
-
-
-def build_ci_stream(manifest: dict, extractor=None) -> TaskStream:
-    """CI stream: disjoint new classes per task."""
-    _check_manifest(manifest)
-    if manifest["scenario"] != "CI":
-        raise ManifestError("build_ci_stream requires a CI manifest")
-    tasks, labels = _build_tasks(manifest, extractor)
-    seen: set[int] = set()
-    for task in tasks:
-        overlap = seen & task.label_set
-        if overlap:
-            names = sorted(labels[i] for i in overlap)
-            raise ManifestError(f"CI label sets overlap at task {task.id}: {names}")
-        seen |= task.label_set
-    return TaskStream(kind="CI", tasks=tasks, labels=labels)
+    stream = TaskStream(kind=manifest["scenario"], tasks=tasks, labels=labels)
+    report = validate_stream(stream)
+    if not report.ok:
+        raise StreamValidationError(report)
+    return stream
 
 
 @dataclass

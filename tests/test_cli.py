@@ -17,7 +17,7 @@ def write_manifest(tmp_path, name="manifest.json", **kw):
     return str(path)
 
 
-def write_run_config(tmp_path, manifest_path, out_dir=None, strategy=None):
+def write_run_config(tmp_path, manifest_path, out_dir=None, strategy=None, **extra):
     config = {
         "manifest": manifest_path,
         "strategy": strategy or {"kind": "Naive"},
@@ -27,6 +27,7 @@ def write_run_config(tmp_path, manifest_path, out_dir=None, strategy=None):
         "hidden_dims": [6],
         "seed": 1,
         "standardize": False,
+        **extra,
     }
     if out_dir:
         config["out_dir"] = out_dir
@@ -66,6 +67,20 @@ class TestValidate:
         assert main(["validate", "--manifest", path, "--json-out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["ok"] is True
 
+    def test_violation_report_written_to_file(self, tmp_path, capsys):
+        manifest = scenarios.synthetic_di_manifest(
+            seed=0, n_tasks=2, train_per_class=8, test_per_class=4, dim=4
+        )
+        manifest["tasks"][1]["classes"][0]["test_count"] = 5
+        path = tmp_path / "unbalanced.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "report.json"
+        assert main(["validate", "--manifest", str(path), "--json-out", str(out)]) == EXIT_VALIDATION
+        payload = json.loads(out.read_text())
+        assert payload["ok"] is False
+        assert [v["kind"] for v in payload["violations"]] == ["di-test-balance"]
+        assert json.loads(capsys.readouterr().out) == payload
+
 
 class TestRunAndReport:
     def test_run_prints_table_and_persists(self, tmp_path, capsys):
@@ -86,6 +101,20 @@ class TestRunAndReport:
         assert main(["report", "--in", runs, "--format", "csv"]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "approach,bwt,fwt,a,acc"
+
+    @pytest.mark.parametrize(
+        "extra,strategy,unknown",
+        [
+            ({"epoch": 3}, None, "epoch"),
+            ({"percent": True}, None, "percent"),
+            ({}, {"kind": "Naive", "lamda": 1}, "lamda"),
+        ],
+    )
+    def test_unknown_config_key_is_runtime_error(self, tmp_path, capsys, extra, strategy, unknown):
+        manifest = write_manifest(tmp_path)
+        config = write_run_config(tmp_path, manifest, strategy=strategy, **extra)
+        assert main(["run", "--config", config]) == EXIT_RUNTIME
+        assert f"['{unknown}']" in capsys.readouterr().err
 
     def test_report_empty_dir_fails(self, tmp_path):
         os.makedirs(tmp_path / "empty", exist_ok=True)

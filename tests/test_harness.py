@@ -7,7 +7,7 @@ import pytest
 from clbench import harness, metrics, scenarios
 from clbench.harness import (
     ExperimentConfig,
-    StreamValidationError,
+    RunRecord,
     config_hash,
     curve_csv,
     expand_grid,
@@ -16,7 +16,9 @@ from clbench.harness import (
     resolve_train_config,
     run_experiment,
     run_grid,
+    save_record,
 )
+from clbench.scenarios import StreamValidationError
 from clbench.strategies import StrategyConfig
 
 FAST = dict(epochs=2, batch_size=4, learning_rate=1e-2, hidden_dims=(6,), standardize=False)
@@ -160,7 +162,7 @@ class TestPersistence:
         loaded = load_record(run_dir)
         assert np.array_equal(loaded.matrix.values, record.matrix.values)
         assert loaded.label == record.label
-        assert loaded.metric_summary["acc"] == pytest.approx(record.metric_summary["acc"])
+        assert loaded.metric_summary["acc"] == record.metric_summary["acc"]
 
     def test_rerun_reproduces_r_csv_bitwise(self, tmp_path):
         config = tiny_config(out_dir=str(tmp_path))
@@ -170,16 +172,53 @@ class TestPersistence:
         run_experiment(config)
         assert open(path).read() == first
 
-    def test_percent_mode_scales_outputs_exactly(self, tmp_path):
-        frac = run_experiment(tiny_config(percent=False, out_dir=str(tmp_path / "f")))
-        pct = run_experiment(tiny_config(percent=True, out_dir=str(tmp_path / "p")))
-        assert np.array_equal(frac.matrix.values, pct.matrix.values)
-        with open(os.path.join(str(tmp_path / "f"), frac.config_hash, "metrics.json")) as fh:
-            m_frac = json.load(fh)["metrics"]
-        with open(os.path.join(str(tmp_path / "p"), pct.config_hash, "metrics.json")) as fh:
-            m_pct = json.load(fh)["metrics"]
-        for key in ("bwt", "fwt", "a", "acc"):
-            assert m_pct[key] == m_frac[key] * 100.0
+    def test_fractions_reload_exactly(self, tmp_path):
+        # k/n accuracies that a x100 write and /100 read moved by one ulp
+        values = np.array([[23 / 140, 13 / 150], [13 / 150, 23 / 140]])
+        matrix = metrics.AccuracyMatrix(2)
+        for t in (1, 2):
+            for j in (1, 2):
+                matrix.record(t, j, values[t - 1, j - 1])
+        record = RunRecord(
+            config_hash="0123456789abcdef",
+            label="Naive[seed=1]",
+            scenario="DI",
+            seed=1,
+            matrix=matrix,
+            metric_summary={
+                "bwt": metrics.bwt(matrix),
+                "fwt": metrics.fwt(matrix),
+                "a": metrics.a_incremental(matrix),
+                "acc": metrics.acc_final(matrix),
+            },
+            curves={
+                "all_tasks": metrics.session_curve(matrix, "all-tasks").tolist(),
+                "seen_tasks": metrics.session_curve(matrix, "seen-tasks").tolist(),
+            },
+            session_seconds=[0.5, 0.25],
+            diagnostics={},
+        )
+        path = save_record(record, str(tmp_path))
+        loaded = load_record(path)
+        assert np.array_equal(loaded.matrix.values, values)
+        assert loaded.metric_summary == record.metric_summary
+        assert loaded.curves == record.curves
+        with open(os.path.join(path, "curve.csv")) as fh:
+            rows = fh.read().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == record.curves["all_tasks"]
+
+    def test_percent_record_rejected(self, tmp_path):
+        record = run_experiment(tiny_config(out_dir=str(tmp_path)))
+        path = os.path.join(str(tmp_path), record.config_hash)
+        metrics_path = os.path.join(path, "metrics.json")
+        with open(metrics_path) as fh:
+            summary = json.load(fh)
+        assert summary["mode"] == "fraction"
+        summary["mode"] = "percent"
+        with open(metrics_path, "w") as fh:
+            json.dump(summary, fh)
+        with pytest.raises(ValueError, match=record.config_hash):
+            load_record(path)
 
 
 class TestGrid:
@@ -201,6 +240,11 @@ class TestGrid:
     def test_strategy_times_seeds(self):
         configs = expand_grid(self.grid(seeds=[1, 2]))
         assert len(configs) == 6
+
+    @pytest.mark.parametrize("key,value", [("epoch", 99), ("percent", False), ("seed", 3)])
+    def test_unknown_top_level_key_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"unknown grid keys: \\['{key}'\\]"):
+            expand_grid(self.grid(**{key: value}))
 
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

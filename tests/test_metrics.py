@@ -226,14 +226,6 @@ class TestCsv:
         assert not back.filled[0].any()
         assert back.filled[2].all()
 
-    def test_percent_mode_is_exactly_scaled(self):
-        matrix, _ = full_random_matrix(3, 9)
-        frac_rows = matrix_to_csv(matrix, percent=False).splitlines()[1:]
-        pct_rows = matrix_to_csv(matrix, percent=True).splitlines()[1:]
-        for fr, pr in zip(frac_rows, pct_rows):
-            for f, p in zip(fr.split(","), pr.split(",")):
-                assert float(p) == float(f) * 100.0
-
     def test_serialization_is_bitwise_stable(self):
         matrix, _ = full_random_matrix(5, 11)
         assert matrix_to_csv(matrix) == matrix_to_csv(matrix)

@@ -5,10 +5,9 @@ import pytest
 
 from clbench.scenarios import (
     ManifestError,
+    StreamValidationError,
     Task,
     TaskStream,
-    build_ci_stream,
-    build_di_stream,
     build_stream,
     load_manifest,
     reference_ci_manifest,
@@ -27,21 +26,25 @@ def small_ci_manifest(seed=0):
     return synthetic_ci_manifest(seed=seed, train_per_class=6, test_per_class=3, noise_dims=2)
 
 
+def violation_kinds(excinfo) -> set[str]:
+    return {v["kind"] for v in excinfo.value.report.violations}
+
+
 class TestDiStream:
     def test_reference_counts_match_published_benchmark(self):
-        stream = build_di_stream(reference_di_manifest(seed=1))
+        stream = build_stream(reference_di_manifest(seed=1))
         assert [t.n_train for t in stream.tasks] == [3098, 3036, 1512, 1512, 504, 504]
         assert [t.n_test for t in stream.tasks] == [862, 844, 420, 420, 140, 140]
         assert stream.labels == ("normal", "abnormal")
         assert validate_stream(stream).ok
 
     def test_single_task_stream_is_legal(self):
-        stream = build_di_stream(small_di_manifest(n_tasks=1))
+        stream = build_stream(small_di_manifest(n_tasks=1))
         assert stream.n_tasks == 1
         assert validate_stream(stream).ok
 
     def test_synthetic_round_trip_validates(self):
-        stream = build_di_stream(small_di_manifest())
+        stream = build_stream(small_di_manifest())
         report = validate_stream(stream)
         assert report.ok, report.violations
         assert report.stats["scenario"] == "DI"
@@ -51,18 +54,17 @@ class TestDiStream:
         extra = dict(manifest["tasks"][0]["classes"][0])
         extra["label"] = "other"
         manifest["tasks"][0]["classes"].append(extra)
-        with pytest.raises(ManifestError, match="two labels|label-set"):
-            build_di_stream(manifest)
+        with pytest.raises(StreamValidationError) as excinfo:
+            build_stream(manifest)
+        assert violation_kinds(excinfo) == {"di-labels", "di-label-mismatch"}
 
     def test_unbalanced_test_split_rejected(self):
         manifest = small_di_manifest()
         manifest["tasks"][1]["classes"][0]["test_count"] = 5
-        with pytest.raises(ManifestError, match="balanced"):
-            build_di_stream(manifest)
-
-    def test_wrong_scenario_rejected(self):
-        with pytest.raises(ManifestError):
-            build_di_stream(small_ci_manifest())
+        with pytest.raises(StreamValidationError) as excinfo:
+            build_stream(manifest)
+        assert isinstance(excinfo.value, ManifestError)
+        assert violation_kinds(excinfo) == {"di-test-balance"}
 
     def test_pure_additive_shift_round_trip(self):
         # same two cluster means per task plus a growing additive offset
@@ -70,7 +72,7 @@ class TestDiStream:
             seed=2, n_tasks=4, train_per_class=8, test_per_class=4, dim=4,
             rotation_step=0.0, drift=3.0,
         )
-        stream = build_di_stream(manifest)
+        stream = build_stream(manifest)
         assert validate_stream(stream).ok
         first = np.asarray(manifest["tasks"][0]["classes"][0]["cluster"]["mean"])
         second = np.asarray(manifest["tasks"][1]["classes"][0]["cluster"]["mean"])
@@ -80,7 +82,7 @@ class TestDiStream:
 
 class TestCiStream:
     def test_reference_counts_match_published_benchmark(self):
-        stream = build_ci_stream(reference_ci_manifest(seed=1))
+        stream = build_stream(reference_ci_manifest(seed=1))
         assert [t.n_train for t in stream.tasks] == [4320, 4178, 4037, 1425, 1425, 2138]
         report = validate_stream(stream)
         assert report.stats["cumulative_test_counts"] == [1200, 2361, 3483, 3879, 4275, 4869]
@@ -88,7 +90,7 @@ class TestCiStream:
         assert report.ok
 
     def test_task_groups_follow_machine_layout(self):
-        stream = build_ci_stream(reference_ci_manifest())
+        stream = build_stream(reference_ci_manifest())
         names = [tuple(stream.labels[i] for i in sorted(t.label_set)) for t in stream.tasks]
         assert names[0] == ("ToyCar", "ToyConveyor")
         assert names[5] == ("Bandsaw", "Grinder", "Shaker")
@@ -96,11 +98,12 @@ class TestCiStream:
     def test_shared_class_rejected(self):
         manifest = small_ci_manifest()
         manifest["tasks"][1]["classes"][0]["label"] = manifest["tasks"][0]["classes"][0]["label"]
-        with pytest.raises(ManifestError, match="overlap"):
-            build_ci_stream(manifest)
+        with pytest.raises(StreamValidationError) as excinfo:
+            build_stream(manifest)
+        assert violation_kinds(excinfo) == {"ci-overlap", "ci-cover"}
 
     def test_synthetic_thirteen_class_space(self):
-        stream = build_ci_stream(small_ci_manifest())
+        stream = build_stream(small_ci_manifest())
         assert stream.n_classes == 13
         assert sum(len(t.label_set) for t in stream.tasks) == 13
         assert validate_stream(stream).ok
@@ -108,18 +111,18 @@ class TestCiStream:
 
 class TestSeenClasses:
     def test_ci_prefixes(self):
-        stream = build_ci_stream(small_ci_manifest())
+        stream = build_stream(small_ci_manifest())
         first = stream.seen_classes(1)
         assert {stream.labels[i] for i in first} == {"ToyCar", "ToyConveyor"}
         assert stream.seen_classes(6) == frozenset(range(13))
 
     def test_di_fixed_label_space(self):
-        stream = build_di_stream(small_di_manifest())
+        stream = build_stream(small_di_manifest())
         for t in range(1, stream.n_tasks + 1):
             assert stream.seen_classes(t) == frozenset({0, 1})
 
     def test_out_of_range(self):
-        stream = build_di_stream(small_di_manifest())
+        stream = build_stream(small_di_manifest())
         with pytest.raises(ValueError):
             stream.seen_classes(0)
         with pytest.raises(ValueError):
@@ -144,7 +147,7 @@ def clone_task(task, **overrides):
 
 class TestValidateStream:
     def test_leakage_flagged(self):
-        stream = build_di_stream(small_di_manifest())
+        stream = build_stream(small_di_manifest())
         t0 = stream.tasks[0]
         leaky = clone_task(t0, test_ids=(t0.train_ids[0],) + t0.test_ids[1:])
         report = validate_stream(TaskStream("DI", (leaky,) + stream.tasks[1:], stream.labels))
@@ -152,14 +155,14 @@ class TestValidateStream:
         assert any(v["kind"] == "leakage" for v in report.violations)
 
     def test_ci_disjointness_flagged(self):
-        stream = build_ci_stream(small_ci_manifest())
+        stream = build_stream(small_ci_manifest())
         t1 = clone_task(stream.tasks[1], label_set=stream.tasks[0].label_set)
         report = validate_stream(TaskStream("CI", (stream.tasks[0], t1) + stream.tasks[2:], stream.labels))
         assert not report.ok
         assert any(v["kind"] == "ci-overlap" for v in report.violations)
 
     def test_cross_task_train_duplicate_flagged(self):
-        stream = build_ci_stream(small_ci_manifest())
+        stream = build_stream(small_ci_manifest())
         t1 = clone_task(
             stream.tasks[1],
             train_ids=(stream.tasks[0].train_ids[0],) + stream.tasks[1].train_ids[1:],
@@ -168,7 +171,7 @@ class TestValidateStream:
         assert any(v["kind"] == "cross-task-train" for v in report.violations)
 
     def test_report_serializes(self):
-        report = validate_stream(build_di_stream(small_di_manifest()))
+        report = validate_stream(build_stream(small_di_manifest()))
         payload = json.loads(report.to_json())
         assert payload["ok"] is True
         assert payload["stats"]["tasks"] == 3
@@ -247,7 +250,7 @@ class TestFileSources:
     def test_glob_sources_build(self, tmp_path):
         manifest = self.glob_manifest(tmp_path)
         extractor = lambda path: np.full(4, float(len(str(path))))
-        stream = build_di_stream(manifest, extractor=extractor)
+        stream = build_stream(manifest, extractor=extractor)
         assert stream.tasks[0].n_train == 6
         assert stream.tasks[0].n_test == 4
         assert validate_stream(stream).ok
@@ -255,4 +258,4 @@ class TestFileSources:
     def test_count_mismatch_rejected(self, tmp_path):
         manifest = self.glob_manifest(tmp_path, declared=7)
         with pytest.raises(ManifestError, match="matched"):
-            build_di_stream(manifest, extractor=lambda p: np.zeros(4))
+            build_stream(manifest, extractor=lambda p: np.zeros(4))
