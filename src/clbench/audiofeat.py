@@ -26,6 +26,7 @@ __all__ = [
     "logmel",
     "pool",
     "extract_file",
+    "extract_files",
     "sample_cluster",
     "write_feature_cache",
     "read_feature_cache",
@@ -177,6 +178,26 @@ def extract_file(path, cfg: LogMelConfig, mode: str = "mean-over-time") -> np.nd
             "(no resampling)"
         )
     return pool(logmel(trim_pad(clip, cfg.clip_seconds), cfg), mode)
+
+
+def extract_files(paths, cfg: LogMelConfig, mode: str, cache, source: bytes) -> np.ndarray:
+    """(len(paths), dim) pooled features of `paths`, in order.
+
+    With a `cache` path (None: uncached) the rows come from the FEA1 file
+    there when its key (sha256 of `source`, `cfg` and `mode`) and row count
+    match; otherwise every clip is extracted and the file is (re)written.
+    Rows always pass through float32, the cache's storage type, so a hit, a
+    miss and an uncached call return equal arrays.
+    """
+    key = cache_key(source, repr(cfg).encode(), mode.encode())
+    if cache is not None and os.path.exists(cache):
+        cached = read_feature_cache(cache, key)
+        if cached is not None and cached.shape[0] == len(paths):
+            return cached
+    rows = np.vstack([extract_file(p, cfg, mode) for p in paths]).astype(np.float32)
+    if cache is not None:
+        write_feature_cache(cache, key, rows)
+    return rows.astype(np.float64)
 
 
 def sample_cluster(mean, sigma: float, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -96,17 +96,11 @@ def _cmd_validate(args) -> int:
 def _cmd_extract(args) -> int:
     manifest = scenarios.load_manifest(args.manifest)
     cache = args.cache or args.manifest + ".fea1"
-    config = ExperimentConfig(
-        manifest=args.manifest,
-        strategy=StrategyConfig("Naive"),
-        pool_mode=args.pool,
-        feature_cache=cache,
-    )
-    extractor = harness._build_extractor(config, manifest)
-    if extractor is None:
+    scenarios.build_stream(manifest, args.pool, cache)  # a failing stream exits 2
+    if not any("train_glob" in entry for task in manifest["tasks"] for entry in task["classes"]):
         print("manifest has no file sources; nothing to extract")
-        return EXIT_OK
-    print(f"feature cache written: {cache}")
+    else:
+        print(f"feature cache: {cache}")
     return EXIT_OK
 
 
@@ -122,7 +116,6 @@ def _cmd_run(args) -> int:
 def _cmd_grid(args) -> int:
     with open(args.config) as fh:
         grid = json.load(fh)
-    grid["strategies"] = [dict(s) for s in grid["strategies"]]
     results = harness.run_grid(grid, workers=args.workers)
     records = [r for r in results if not isinstance(r, dict)]
     failures = [r for r in results if isinstance(r, dict)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import glob as globmod
 import hashlib
 import itertools
 import json
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import audiofeat, metrics, ndcore, scenarios, strategies
+from . import metrics, ndcore, scenarios, strategies
 from .metrics import AccuracyMatrix
 from .ndcore import ModelSpec
 from .strategies import Model, StrategyConfig, StreamAccess, TrainConfig
@@ -178,45 +177,6 @@ def _accuracy(params, spec, x, y) -> float:
     return float(np.mean(pred == y))
 
 
-def _build_extractor(config: ExperimentConfig, manifest: dict):
-    """File extractor with a FEA1 cache keyed by manifest content + feature
-    parameters, so repeated runs skip WAV decoding entirely."""
-    has_files = any(
-        "train_glob" in entry
-        for task in manifest["tasks"]
-        for entry in task["classes"]
-    )
-    if not has_files:
-        return None
-    cfg = audiofeat.LogMelConfig()
-    cache_path = config.feature_cache
-    if cache_path is None and isinstance(config.manifest, str):
-        cache_path = config.manifest + ".fea1"
-    if cache_path is None:
-        return lambda path: audiofeat.extract_file(path, cfg, config.pool_mode)
-    paths = []
-    for task in manifest["tasks"]:
-        for entry in task["classes"]:
-            if "train_glob" in entry:
-                paths.extend(sorted(globmod.glob(entry["train_glob"])))
-                paths.extend(sorted(globmod.glob(entry["test_glob"])))
-    key = audiofeat.cache_key(
-        json.dumps(manifest, sort_keys=True).encode(),
-        repr(cfg).encode(),
-        config.pool_mode.encode(),
-    )
-    table = None
-    if os.path.exists(cache_path):
-        cached = audiofeat.read_feature_cache(cache_path, key)
-        if cached is not None and cached.shape[0] == len(paths):
-            table = {p: cached[i] for i, p in enumerate(paths)}
-    if table is None:
-        rows = [audiofeat.extract_file(p, cfg, config.pool_mode) for p in paths]
-        audiofeat.write_feature_cache(cache_path, key, np.vstack(rows))
-        table = dict(zip(paths, rows))
-    return lambda path: table[path]
-
-
 def resolve_train_config(config: ExperimentConfig, scenario: str) -> TrainConfig:
     """Fill unset epochs / batch size / learning rate from the scenario
     defaults (DI: 1e-3 for 50 epochs; CI: 1e-4 for 30; batch 8)."""
@@ -234,7 +194,10 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     manifest = _manifest_dict(config)
     scenario = manifest["scenario"]
     cfg = resolve_train_config(config, scenario)
-    stream = scenarios.build_stream(manifest, extractor=_build_extractor(config, manifest))
+    cache = config.feature_cache
+    if cache is None and isinstance(config.manifest, str):
+        cache = config.manifest + ".fea1"  # an inline manifest without one runs uncached
+    stream = scenarios.build_stream(manifest, config.pool_mode, cache)
 
     train_sets, test_sets = _standardized_sets(stream, config.standardize)
     spec = ModelSpec(
@@ -342,11 +305,12 @@ def expand_grid(grid: dict) -> list:
     strategy_configs = []
     for entry in strategies_in:
         try:
-            strategy_configs.extend(_expand_strategy(dict(entry)))
+            if not isinstance(entry, dict):
+                raise TypeError("a strategy entry must be an object")
+            strategy_configs.extend(_expand_strategy(entry))
         except (TypeError, ValueError) as exc:
-            strategy_configs.append(
-                {"error": f"{type(exc).__name__}: {exc}", "label": str(entry.get("kind")), "seed": None}
-            )
+            label = str(entry.get("kind")) if isinstance(entry, dict) else repr(entry)
+            strategy_configs.append({"error": f"{type(exc).__name__}: {exc}", "label": label, "seed": None})
     base = {k: grid[k] for k in GRID_SHARED_KEYS if k in grid}
     configs = []
     for strategy_config, seed in itertools.product(strategy_configs, seeds):
@@ -497,6 +461,7 @@ def load_record(path: str) -> RunRecord:
     if os.path.exists(diag_path):
         with open(diag_path) as fh:
             diagnostics = json.load(fh)
+    session_seconds = diagnostics.pop("session_seconds", [])  # saved alongside, not a diagnostic
     return RunRecord(
         config_hash=os.path.basename(path.rstrip("/")),
         label=summary["label"],
@@ -505,19 +470,20 @@ def load_record(path: str) -> RunRecord:
         matrix=matrix,
         metric_summary=summary["metrics"],
         curves=summary.get("curves"),
-        session_seconds=diagnostics.get("session_seconds", []),
+        session_seconds=session_seconds,
         diagnostics=diagnostics,
         config_json=config_json,
     )
 
 
 def load_records(out_dir: str) -> list[RunRecord]:
+    """Every record under `out_dir`, ordered by approach label, then seed."""
     records = []
     for name in sorted(os.listdir(out_dir)):
         path = os.path.join(out_dir, name)
         if os.path.isdir(path) and os.path.exists(os.path.join(path, "metrics.json")):
             records.append(load_record(path))
-    return records
+    return sorted(records, key=lambda r: (r.label.split("[")[0], r.seed))
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,22 @@ class TestGrid:
         out = capsys.readouterr().out
         assert "Naive[mean]" in out
 
+    def test_non_object_strategy_entry_is_a_failed_cell(self, tmp_path, capsys):
+        grid = {
+            "manifest": write_manifest(tmp_path),
+            "strategies": ["Naive", {"kind": "Naive"}],
+            "seeds": [1],
+            "epochs": 2,
+            "batch_size": 4,
+            "hidden_dims": [6],
+        }
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        assert main(["grid", "--config", str(path)]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert "cell failed: 'Naive' seed=1" in captured.err
+        assert "Naive[seed=1]" in captured.out
+
 
 class TestGenSynthetic:
     @pytest.mark.parametrize("scenario", ["DI", "CI"])
@@ -173,7 +189,7 @@ class TestExtractFeatures:
         assert main(["extract-features", "--manifest", path]) == EXIT_OK
         assert "nothing to extract" in capsys.readouterr().out
 
-    def test_wav_manifest_builds_cache(self, tmp_path, capsys):
+    def write_wav_manifest(self, tmp_path, clips=2, declared=2):
         import wave
 
         globs = {}
@@ -181,7 +197,7 @@ class TestExtractFeatures:
             for split in ("train", "test"):
                 d = tmp_path / label / split
                 d.mkdir(parents=True)
-                for i in range(2):
+                for i in range(clips):
                     with wave.open(str(d / f"c{i}.wav"), "wb") as wf:
                         wf.setnchannels(1)
                         wf.setsampwidth(2)
@@ -200,7 +216,7 @@ class TestExtractFeatures:
                 {
                     "name": "T1",
                     "classes": [
-                        {"label": label, **g, "train_count": 2, "test_count": 2}
+                        {"label": label, **g, "train_count": declared, "test_count": declared}
                         for label, g in globs.items()
                     ],
                 }
@@ -208,7 +224,18 @@ class TestExtractFeatures:
         }
         path = tmp_path / "wav_manifest.json"
         path.write_text(json.dumps(manifest))
+        return str(path)
+
+    def test_wav_manifest_builds_cache(self, tmp_path, capsys):
+        path = self.write_wav_manifest(tmp_path)
         cache = str(tmp_path / "features.fea1")
-        assert main(["extract-features", "--manifest", str(path), "--cache", cache]) == EXIT_OK
+        assert main(["extract-features", "--manifest", path, "--cache", cache]) == EXIT_OK
         with open(cache, "rb") as fh:
             assert fh.read(4) == b"FEA1"
+
+    def test_count_mismatch_is_validation_error_and_writes_no_cache(self, tmp_path, capsys):
+        path = self.write_wav_manifest(tmp_path, clips=2, declared=1)
+        cache = str(tmp_path / "features.fea1")
+        assert main(["extract-features", "--manifest", path, "--cache", cache]) == EXIT_VALIDATION
+        assert "matched 2 files, manifest declares 1" in capsys.readouterr().err
+        assert not os.path.exists(cache)

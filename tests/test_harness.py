@@ -163,6 +163,9 @@ class TestPersistence:
         assert np.array_equal(loaded.matrix.values, record.matrix.values)
         assert loaded.label == record.label
         assert loaded.metric_summary["acc"] == record.metric_summary["acc"]
+        assert loaded.diagnostics == record.diagnostics
+        assert loaded.session_seconds == record.session_seconds
+        assert loaded.curves == record.curves
 
     def test_rerun_reproduces_r_csv_bitwise(self, tmp_path):
         config = tiny_config(out_dir=str(tmp_path))
@@ -206,6 +209,20 @@ class TestPersistence:
         with open(os.path.join(path, "curve.csv")) as fh:
             rows = fh.read().splitlines()[1:]
         assert [float(row.split(",")[1]) for row in rows] == record.curves["all_tasks"]
+
+    def test_records_load_in_approach_then_seed_order(self, tmp_path):
+        # directory names (config hashes) sort in a different order
+        cells = [("0a", "Replay", 2), ("1b", "Naive", 3), ("2c", "Replay", 1),
+                 ("3d", "Naive", 1), ("4e", "Naive", 2)]
+        for name, kind, seed in cells:
+            record = run_experiment(tiny_config(StrategyConfig(kind, memory_size=4), seed=seed))
+            record.config_hash = name
+            save_record(record, str(tmp_path))
+        loaded = harness.load_records(str(tmp_path))
+        assert [r.label for r in loaded] == [
+            "Naive[seed=1]", "Naive[seed=2]", "Naive[seed=3]",
+            "Replay(mem=4)[seed=1]", "Replay(mem=4)[seed=2]",
+        ]
 
     def test_percent_record_rejected(self, tmp_path):
         record = run_experiment(tiny_config(out_dir=str(tmp_path)))
@@ -260,6 +277,14 @@ class TestGrid:
         for a, b in zip(serial, parallel):
             assert a.label == b.label
             assert np.array_equal(a.matrix.values, b.matrix.values)
+
+    def test_non_object_strategy_entry_becomes_error_cell(self):
+        configs = expand_grid(self.grid(strategies=["Naive", {"kind": "Naive"}]))
+        assert len(configs) == 2
+        error, config = configs
+        assert error["label"] == "'Naive'" and error["seed"] == 1
+        assert "must be an object" in error["error"]
+        assert isinstance(config, ExperimentConfig) and config.strategy.kind == "Naive"
 
     def test_cell_errors_do_not_abort_grid(self):
         grid = self.grid(strategies=[{"kind": "Naive"}, {"kind": "GEM", "per_task_memory": -3}])

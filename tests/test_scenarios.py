@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from clbench import audiofeat
+from clbench.audiofeat import LogMelConfig
 from clbench.scenarios import (
     ManifestError,
     StreamValidationError,
@@ -249,13 +251,36 @@ class TestFileSources:
 
     def test_glob_sources_build(self, tmp_path):
         manifest = self.glob_manifest(tmp_path)
-        extractor = lambda path: np.full(4, float(len(str(path))))
-        stream = build_stream(manifest, extractor=extractor)
+        stream = build_stream(manifest)
         assert stream.tasks[0].n_train == 6
         assert stream.tasks[0].n_test == 4
+        assert stream.feature_dim == LogMelConfig().mel_bins
+        assert np.isfinite(stream.tasks[0].train_x).all()
         assert validate_stream(stream).ok
 
-    def test_count_mismatch_rejected(self, tmp_path):
-        manifest = self.glob_manifest(tmp_path, declared=7)
-        with pytest.raises(ManifestError, match="matched"):
-            build_stream(manifest, extractor=lambda p: np.zeros(4))
+    def test_count_mismatch_rejected(self, tmp_path, monkeypatch):
+        manifest = self.glob_manifest(tmp_path)
+        manifest["tasks"][0]["classes"][-1]["test_count"] = 3  # the last source
+        decoded = []
+        monkeypatch.setattr(audiofeat, "extract_file", lambda path, *a: decoded.append(path))
+        with pytest.raises(ManifestError, match="matched 2 files, manifest declares 3"):
+            build_stream(manifest)
+        assert decoded == []  # every glob is checked before any clip is decoded
+
+    def test_cache_hit_miss_and_uncached_builds_are_equal(self, tmp_path, monkeypatch):
+        manifest = self.glob_manifest(tmp_path)
+        cache = str(tmp_path / "features.fea1")
+        miss = build_stream(manifest, feature_cache=cache)
+        with open(cache, "rb") as fh:
+            assert fh.read(4) == b"FEA1"
+        with monkeypatch.context() as m:  # a hit decodes nothing
+            m.setattr(audiofeat, "extract_file", lambda *a: pytest.fail("cache missed"))
+            hit = build_stream(manifest, feature_cache=cache)
+        uncached = build_stream(manifest)
+        for other in (hit, uncached):
+            for a, b in zip(miss.tasks, other.tasks):
+                assert np.array_equal(a.train_x, b.train_x)
+                assert np.array_equal(a.test_x, b.test_x)
+        # every row holds float32 values, the cache's storage type
+        x = miss.tasks[0].train_x
+        assert np.array_equal(x, x.astype(np.float32).astype(np.float64))
