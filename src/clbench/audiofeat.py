@@ -8,6 +8,7 @@ identical features out.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import struct
@@ -120,8 +121,11 @@ def _mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: LogMelConfig) -> np.ndarray:
-    """(mel_bins, fft_size//2 + 1) triangular filters on the HTK mel scale."""
+@functools.lru_cache(maxsize=8)
+def _stft_weights(cfg: LogMelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Hann window (fft_size,) and triangular HTK mel filterbank (mel_bins,
+    fft_size//2 + 1) of `cfg`, built once per config and read-only."""
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.fft_size) / cfg.fft_size)
     edges_hz = _mel_to_hz(
         np.linspace(_hz_to_mel(cfg.fmin), _hz_to_mel(cfg.fmax), cfg.mel_bins + 2)
     )
@@ -131,7 +135,9 @@ def mel_filterbank(cfg: LogMelConfig) -> np.ndarray:
     upper = edges_hz[2:, None]
     rising = (bin_hz - lower) / (center - lower)
     falling = (upper - bin_hz) / (upper - center)
-    return np.maximum(0.0, np.minimum(rising, falling))
+    filterbank = np.maximum(0.0, np.minimum(rising, falling))
+    window.flags.writeable = filterbank.flags.writeable = False
+    return window, filterbank
 
 
 def logmel(clip: PcmClip, cfg: LogMelConfig) -> np.ndarray:
@@ -146,10 +152,10 @@ def logmel(clip: PcmClip, cfg: LogMelConfig) -> np.ndarray:
             "(no resampling)"
         )
     frame_count(clip.samples.size, cfg.fft_size, cfg.hop)  # rejects sub-frame clips
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.fft_size) / cfg.fft_size)
+    window, filterbank = _stft_weights(cfg)
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, cfg.fft_size)[:: cfg.hop]
     power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
-    mel_power = power @ mel_filterbank(cfg).T
+    mel_power = power @ filterbank.T
     out = np.log(mel_power + cfg.log_floor)
     if not np.isfinite(out).all():
         raise FloatingPointError("non-finite log-mel output")

@@ -3,7 +3,9 @@ gradients, softmax cross-entropy, and bias-corrected Adam.
 
 Parameters and gradients are 1-D float64 arrays laid out by `ModelSpec`. All
 operations are pure functions over (params, ModelSpec) so strategies can
-snapshot, perturb and restore parameters freely.
+snapshot, perturb and restore parameters freely. `forward` and `backward`
+take a batch (batch_rows, input_dim) or any stack of them, (..., batch_rows,
+input_dim), each batch running its 2-D matmuls; gradients are (..., n_params).
 """
 
 from __future__ import annotations
@@ -64,10 +66,12 @@ class ModelSpec:
         return self._offsets[-1][2]
 
     def layers(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(W, b) views per layer into a flat parameter or gradient vector;
-        in-place edits write through to `flat`."""
+        """(W, b) views per layer into a flat parameter or gradient vector,
+        or into a stack of them of shape (..., n_params); in-place edits
+        write through to `flat`."""
+        stack = flat.shape[:-1]
         return [
-            (flat[w:b].reshape(fan_in, fan_out), flat[b:end])
+            (flat[..., w:b].reshape(stack + (fan_in, fan_out)), flat[..., b:end])
             for w, b, end, fan_in, fan_out in self._offsets
         ]
 
@@ -83,15 +87,15 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
 def _check_batch(spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2:
-        raise ValueError(f"batch must be 2-D, got ndim={batch.ndim}")
-    if batch.shape[1] != spec.input_dim:
-        raise ValueError(f"batch has {batch.shape[1]} columns, spec expects {spec.input_dim}")
+    if batch.ndim < 2:
+        raise ValueError(f"batch must be at least 2-D, got ndim={batch.ndim}")
+    if batch.shape[-1] != spec.input_dim:
+        raise ValueError(f"batch has {batch.shape[-1]} columns, spec expects {spec.input_dim}")
     return batch
 
 
 def forward(params: np.ndarray, spec: ModelSpec, batch: np.ndarray, acts: list | None = None) -> np.ndarray:
-    """Logits of shape (batch_rows, output_dim).
+    """Logits of shape (..., batch_rows, output_dim).
 
     When a list is passed as `acts`, the input of every layer (the batch,
     then each post-ReLU hidden activation) is appended to it, which is what
@@ -111,16 +115,17 @@ def forward(params: np.ndarray, spec: ModelSpec, batch: np.ndarray, acts: list |
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _check_labels(labels, n_classes: int) -> np.ndarray:
+def _check_labels(labels, logits: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError("labels must be 1-D")
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError(f"labels of shape {labels.shape} do not match logits of shape {logits.shape}")
     labels = labels.astype(np.int64, copy=False)
+    n_classes = logits.shape[-1]
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"label out of range for {n_classes} classes")
     return labels
@@ -129,21 +134,20 @@ def _check_labels(labels, n_classes: int) -> np.ndarray:
 def ce_loss(logits: np.ndarray, labels) -> float:
     """Mean softmax cross-entropy over batch rows."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = _check_labels(labels, logits.shape[1])
-    if labels.size != logits.shape[0]:
-        raise ValueError("labels length must match batch rows")
-    z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1))
-    picked = z[np.arange(len(labels)), labels]
+    labels = _check_labels(labels, logits)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logsumexp = np.log(np.exp(z).sum(axis=-1))
+    picked = np.take_along_axis(z, labels[..., None], axis=-1)[..., 0]
     return float(np.mean(logsumexp - picked))
 
 
 def ce_dlogits(logits: np.ndarray, labels) -> np.ndarray:
-    """d(mean CE)/d(logits) = (softmax - onehot) / batch_rows."""
-    labels = _check_labels(labels, logits.shape[1])
+    """d(mean CE)/d(logits) = (softmax - onehot) / batch_rows, per batch."""
+    labels = _check_labels(labels, logits)
     d = _softmax(logits)
-    d[np.arange(len(labels)), labels] -= 1.0
-    return d / logits.shape[0]
+    rows = d.reshape(-1, d.shape[-1])  # a view: d is freshly allocated
+    rows[np.arange(len(rows)), labels.ravel()] -= 1.0
+    return d / logits.shape[-2]
 
 
 def backward_from_dlogits(
@@ -151,65 +155,31 @@ def backward_from_dlogits(
 ) -> np.ndarray:
     """Backprop an upstream logits gradient to a parameter gradient, given
     the layer inputs `forward` collected for the same params and batch.
+    Returns one gradient per batch of the stack, shape (..., n_params).
 
     Strategies that mix several logit-space losses (e.g. distillation) sum
     their dlogits terms and run a single backward pass through here.
     """
-    grad = np.empty(spec.n_params)
-    layers = spec.layers(params)
     d = np.asarray(dlogits, dtype=np.float64)
+    grad = np.empty(d.shape[:-2] + (spec.n_params,))
+    layers = spec.layers(params)
     for i, (gW, gb) in reversed(list(enumerate(spec.layers(grad)))):
-        gW[...] = acts[i].T @ d
-        gb[...] = d.sum(axis=0)
+        a = acts[i].swapaxes(-1, -2)
+        if d.shape[-2] == 1:
+            # a one-row batch's weight gradient is an outer product: the same
+            # exact products as matmul, without a per-slice BLAS call
+            np.multiply(a, d, out=gW)
+        else:
+            np.matmul(a, d, out=gW)
+        np.add.reduce(d, axis=-2, out=gb)
         if i > 0:
             # acts[i] is post-ReLU; its positive support marks active units
             d = (d @ layers[i][0].T) * (acts[i] > 0.0)
     return grad
 
 
-def _sum_squared_row_grads(params: np.ndarray, spec: ModelSpec, batch: np.ndarray, labels) -> np.ndarray:
-    """sum(backward(params, spec, batch[i:i+1], labels[i:i+1]) ** 2) over
-    rows in order, bit for bit.
-
-    Rows run in chunks of stacked one-row batches, so every matmul is the
-    one-row BLAS call of the per-row path (a 2-D batched matmul rounds
-    differently). A layer's squared (W, b) gradients fill one (rows, size)
-    block, at most 1 MiB, that is folded into the total row by row: an
-    axis-0 reduce adds rows sequentially when a row has two or more entries.
-    """
-    batch = _check_batch(spec, batch)
-    labels = _check_labels(labels, spec.output_dim)
-    layers = spec.layers(params)
-    last = len(layers) - 1
-    total = np.zeros(spec.n_params)
-    step = max(1, (1 << 17) // max(end - w for w, _, end, _, _ in spec._offsets))
-    for start in range(0, batch.shape[0], step):
-        h = batch[start : start + step][:, None, :]
-        acts = []
-        for i, (W, b) in enumerate(layers):
-            acts.append(h)
-            pre = np.matmul(h, W) + b
-            h = pre if i == last else np.maximum(pre, 0.0)
-        if not np.isfinite(h).all():
-            raise FloatingPointError("non-finite logits")
-        d = _softmax(h[:, 0, :])
-        d[np.arange(len(d)), labels[start : start + step]] -= 1.0
-        d = d[:, None, :]  # the division by the one-row batch is a no-op
-        for i in range(last, -1, -1):
-            w, b, end, fan_in, fan_out = spec._offsets[i]
-            blk = np.empty((len(d), end - w))
-            np.multiply(acts[i].transpose(0, 2, 1), d, out=blk[:, : b - w].reshape(-1, fan_in, fan_out))
-            blk[:, b - w :] = d[:, 0, :]
-            blk *= blk
-            blk[0] += total[w:end]
-            total[w:end] = np.add.reduce(blk, axis=0)
-            if i > 0:
-                d = np.matmul(d, layers[i][0].T) * (acts[i] > 0.0)
-    return total
-
-
 def backward(params: np.ndarray, spec: ModelSpec, batch: np.ndarray, labels) -> np.ndarray:
-    """Gradient of mean CE loss, same layout as `params`."""
+    """Gradient of mean CE loss per batch, shape (..., n_params)."""
     acts: list = []
     logits = forward(params, spec, batch, acts)
     return backward_from_dlogits(params, spec, acts, ce_dlogits(logits, labels))
@@ -251,13 +221,10 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple[n
 
 def min_abs_preactivation(params: np.ndarray, spec: ModelSpec, batch: np.ndarray) -> float:
     """Distance of the closest hidden preactivation to the ReLU kink."""
-    h = _check_batch(spec, batch)
-    closest = np.inf
-    for W, b in spec.layers(params)[:-1]:
-        pre = h @ W + b
-        closest = min(closest, float(np.abs(pre).min()))
-        h = np.maximum(pre, 0.0)
-    return closest
+    acts: list = []
+    forward(params, spec, batch, acts)
+    hidden = zip(acts, spec.layers(params)[:-1])
+    return min((float(np.abs(h @ W + b).min()) for h, (W, b) in hidden), default=np.inf)
 
 
 def grad_check(spec: ModelSpec, seed: int, h: float = 1e-5, batch_rows: int = 4) -> float:

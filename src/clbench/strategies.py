@@ -29,7 +29,6 @@ __all__ = [
     "SessionOrderError",
     "EwcState",
     "SiState",
-    "TeacherSnapshot",
     "MemoryBuffer",
     "ewc_penalty",
     "ewc_penalty_gradient",
@@ -243,7 +242,20 @@ def estimate_fisher(
     if n == 0:
         raise ValueError("cannot estimate Fisher on empty data")
     idx = np.arange(n) if budget >= n else np.sort(rng.choice(n, size=budget, replace=False))
-    return ndcore._sum_squared_row_grads(params, spec, x[idx], y[idx]) / idx.size
+    # each example is a one-row batch of a stack, so it runs the per-example
+    # matmuls bit for bit; a chunk holds at most 2 MiB of gradients
+    x, y = x[idx, None, :], y[idx, None]
+    step = max(1, (2 << 20) // (8 * spec.n_params))
+    total = np.zeros(spec.n_params)
+    for start in range(0, idx.size, step):
+        blk = ndcore.backward(params, spec, x[start : start + step], y[start : start + step])
+        blk *= blk
+        # an axis-0 reduce over rows with two or more entries adds rows in
+        # order, so the fold equals the sequential per-example sum
+        blk[0] += total
+        total = np.add.reduce(blk, axis=0)
+        del blk  # with two blocks alive, each chunk's allocation page-faulted
+    return total / idx.size
 
 
 @dataclass
@@ -301,17 +313,6 @@ def si_penalty_gradient(state: SiState, theta, lam: float) -> np.ndarray | None:
     if state.omega is None or state.theta_ref is None:
         return None
     return 2.0 * lam * state.omega * (theta - state.theta_ref)
-
-
-@dataclass(frozen=True)
-class TeacherSnapshot:
-    """Frozen pre-task model that supplies distillation targets."""
-
-    params: np.ndarray
-    spec: ModelSpec
-
-    def logits(self, batch: np.ndarray) -> np.ndarray:
-        return ndcore.forward(self.params, self.spec, batch)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -616,6 +617,12 @@ class NaiveStrategy(Strategy):
     pass
 
 
+def _train_union(access: StreamAccess, last: int):
+    """Train splits of tasks 1..last, stacked in task order."""
+    parts = [access.train(k) for k in range(1, last + 1)]
+    return np.vstack([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
 class CumulativeStrategy(Strategy):
     """From-scratch retraining on the union of all tasks seen so far."""
 
@@ -626,8 +633,7 @@ class CumulativeStrategy(Strategy):
         return ndcore.init_params(self.spec, self.rngs.init_rng())
 
     def session_data(self, access, t):
-        parts = [access.train(k) for k in range(1, t + 1)]
-        return np.vstack([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+        return _train_union(access, t)
 
 
 class JointStrategy(Strategy):
@@ -637,8 +643,7 @@ class JointStrategy(Strategy):
         return set(range(1, n_tasks + 1))
 
     def session_data(self, access, t):
-        parts = [access.train(k) for k in range(1, access.n_tasks + 1)]
-        return np.vstack([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+        return _train_union(access, access.n_tasks)
 
 
 class EwcStrategy(Strategy):
@@ -685,17 +690,17 @@ class SiStrategy(Strategy):
 class LwfStrategy(Strategy):
     def __init__(self, config, spec, master_seed):
         super().__init__(config, spec, master_seed)
-        self.teacher: TeacherSnapshot | None = None
+        self.teacher: np.ndarray | None = None  # frozen pre-task parameters
 
     def before_session(self, params, access, t):
         # no teacher for the first task: there is nothing to distill yet
         if self.config.alpha > 0.0 and t >= 2:
-            self.teacher = TeacherSnapshot(params.copy(), self.spec)
+            self.teacher = params.copy()
 
     def loss_dlogits(self, logits, bx, by):
         d = ndcore.ce_dlogits(logits, by)
         if self.teacher is not None and self.config.alpha > 0.0:
-            teacher_logits = self.teacher.logits(bx)
+            teacher_logits = ndcore.forward(self.teacher, self.spec, bx)
             d = d + lwf_kd_dlogits(teacher_logits, logits, self.config.tau, self.config.alpha)
         return d
 

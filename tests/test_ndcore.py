@@ -8,6 +8,7 @@ from clbench.ndcore import (
     ModelSpec,
     adam_step,
     backward,
+    ce_dlogits,
     ce_loss,
     forward,
     grad_check,
@@ -137,6 +138,56 @@ class TestBackward:
         single = backward(params, spec, x, y)
         doubled = backward(params, spec, np.vstack([x, x]), np.concatenate([y, y]))
         assert doubled == pytest.approx(single, abs=1e-15)
+
+
+class TestStacks:
+    """A (K, M, d) stack of batches gives what K separate 2-D calls give."""
+
+    @pytest.mark.parametrize("rows", [1, 8])
+    @pytest.mark.parametrize("hidden", [(), (1,), (32, 16), (128, 64)])
+    @pytest.mark.parametrize("classes", [2, 13])
+    def test_stack_equals_separate_batches(self, rows, hidden, classes):
+        spec = ModelSpec(input_dim=6, hidden_dims=hidden, output_dim=classes)
+        rng = np.random.default_rng(len(hidden) * 100 + rows * 10 + classes)
+        params = init_params(spec, rng)
+        params += rng.normal(scale=0.3, size=params.size)
+        x = rng.normal(scale=2.0, size=(5, rows, 6))
+        y = rng.integers(0, classes, size=(5, rows))
+        logits = forward(params, spec, x)
+        grads = backward(params, spec, x, y)
+        assert logits.shape == (5, rows, classes)
+        assert grads.shape == (5, spec.n_params)
+        for k in range(5):
+            assert np.array_equal(logits[k], forward(params, spec, x[k]))
+            assert np.array_equal(grads[k], backward(params, spec, x[k], y[k]))
+
+    def test_labels_must_match_the_batch_shape(self):
+        logits = np.zeros((3, 2, 4))
+        for labels in (np.zeros(6, dtype=int), np.zeros((3, 1), dtype=int), np.zeros(3, dtype=int)):
+            with pytest.raises(ValueError, match="shape"):
+                ce_dlogits(logits, labels)
+            with pytest.raises(ValueError, match="shape"):
+                ce_loss(logits, labels)
+        with pytest.raises(ValueError, match="shape"):
+            ce_dlogits(np.zeros((4, 2)), [0, 1, 1])
+        with pytest.raises(ValueError, match="shape"):
+            ce_loss(np.zeros((4, 2)), [0, 1, 1])
+
+    def test_one_dimensional_batch_rejected(self):
+        spec = ModelSpec(input_dim=3, hidden_dims=(), output_dim=2)
+        with pytest.raises(ValueError, match="2-D"):
+            forward(make_params(spec), spec, np.zeros(3))
+
+    def test_stacked_layer_views_write_through(self):
+        spec = ModelSpec(input_dim=2, hidden_dims=(3,), output_dim=2)
+        flat = np.zeros((4, spec.n_params))
+        (W0, b0), (W1, b1) = spec.layers(flat)
+        assert W0.shape == (4, 2, 3) and b0.shape == (4, 3)
+        assert W1.shape == (4, 3, 2) and b1.shape == (4, 2)
+        W0[2, 1, 0] = 5.0
+        b1[3, 1] = -2.0
+        assert flat[2, 3] == 5.0 and flat[3, spec.n_params - 1] == -2.0
+        assert np.count_nonzero(flat) == 2
 
 
 class TestAdam:

@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -235,7 +236,9 @@ class TestFileSources:
     def glob_manifest(self, root, train_n=3, test_n=2, declared=None):
         for split, n in (("train", train_n), ("test", test_n)):
             for label in ("normal", "abnormal"):
-                self.make_wavs(root / label / split, n, seed=hash((split, label)) % 1000)
+                # a stable digest: str hashes are salted per process
+                seed = zlib.crc32(f"{split}/{label}".encode()) % 1000
+                self.make_wavs(root / label / split, n, seed=seed)
         classes = []
         for label in ("normal", "abnormal"):
             classes.append(

@@ -132,11 +132,11 @@ class TestEstimateFisher:
         with pytest.raises(ValueError):
             estimate_fisher(params, spec, np.zeros((0, 2)), np.zeros(0, dtype=int), 4, np.random.default_rng(0))
 
-    # Rows are processed in chunks of (1 << 17) // max(fan_in * fan_out +
-    # fan_out) rows: 15 for hidden (128, 64) from 24 inputs, so 40 rows run
-    # as 15 + 15 + 10 and 32 as 15 + 15 + 2; one row for (400, (400,)); a
-    # single chunk for the rest. The (1, (1,)) model has layers whose weight
-    # block is a single entry.
+    # Rows are processed in chunks of (2 << 20) // (8 * n_params) one-row
+    # batches: 21 for hidden (128, 64) from 24 inputs, so 40 rows run as
+    # 21 + 19 and 32 as 21 + 11; one row for (400, (400,)); a single chunk
+    # for the rest. The (1, (1,)) model has layers whose weight block is a
+    # single entry.
     @pytest.mark.parametrize(
         "input_dim, hidden, classes, n, budget",
         [
