@@ -23,7 +23,7 @@ import numpy as np
 from . import metrics, ndcore, scenarios, strategies
 from .metrics import AccuracyMatrix
 from .ndcore import ModelSpec
-from .strategies import Model, StrategyConfig, StreamAccess, TrainConfig
+from .strategies import StrategyConfig, StreamAccess, TrainConfig
 
 __all__ = [
     "ExperimentConfig",
@@ -38,6 +38,7 @@ __all__ = [
     "curve_csv",
     "save_record",
     "load_record",
+    "load_records",
     "selftest",
 ]
 
@@ -190,8 +191,15 @@ def resolve_train_config(config: ExperimentConfig, scenario: str) -> TrainConfig
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Train through the stream, evaluating on every task's test split after
-    each session; Joint trains once and fills only the final row."""
+    each session; Joint trains once and fills only the final row.
+
+    With `out_dir` set, a config whose record is already saved there is not
+    run again: its record is loaded instead.
+    """
     manifest = _manifest_dict(config)
+    digest = config_hash(config, manifest)
+    if config.out_dir and os.path.exists(os.path.join(config.out_dir, digest, RECORD_FILE)):
+        return load_record(os.path.join(config.out_dir, digest))
     scenario = manifest["scenario"]
     cfg = resolve_train_config(config, scenario)
     cache = config.feature_cache
@@ -206,7 +214,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         output_dim=stream.n_classes,
     )
     strategy = strategies.make_strategy(config.strategy, spec, config.seed)
-    model = Model(spec=spec, params=ndcore.init_params(spec, strategy.rngs.init_rng()))
+    params = ndcore.init_params(spec, strategy.rngs.init_rng())
     access = StreamAccess(train_sets)
     T = stream.n_tasks
     matrix = AccuracyMatrix(T)
@@ -215,11 +223,11 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     def evaluate_row(t: int) -> None:
         for j in range(1, T + 1):
             x, y = test_sets[j - 1]
-            matrix.record(t, j, _accuracy(model.params, spec, x, y))
+            matrix.record(t, j, _accuracy(params, spec, x, y))
 
     if config.strategy.kind == "Joint":
         start = time.perf_counter()
-        model = strategies.train_task(strategy, model, access, 1, cfg)
+        params = strategies.train_task(strategy, params, access, 1, cfg)
         session_seconds.append(time.perf_counter() - start)
         evaluate_row(T)
         summary = {"bwt": None, "fwt": None, "a": None, "acc": metrics.acc_final(matrix)}
@@ -227,7 +235,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     else:
         for t in range(1, T + 1):
             start = time.perf_counter()
-            model = strategies.train_task(strategy, model, access, t, cfg)
+            params = strategies.train_task(strategy, params, access, t, cfg)
             session_seconds.append(time.perf_counter() - start)
             evaluate_row(t)
         summary = {
@@ -246,7 +254,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         str(t): sorted(tasks) for t, tasks in access.accessed.items()
     }
     record = RunRecord(
-        config_hash=config_hash(config, manifest),
+        config_hash=digest,
         label=f"{config.strategy.label()}[seed={config.seed}]",
         scenario=scenario,
         seed=config.seed,
@@ -321,23 +329,37 @@ def expand_grid(grid: dict) -> list:
     return configs
 
 
-def _run_cell(config):
+def _error_cell(config, exc: BaseException) -> dict:
     if isinstance(config, dict):  # error cell from expansion
+        return config
+    return {"error": f"{type(exc).__name__}: {exc}", "label": config.strategy.label(), "seed": config.seed}
+
+
+def _run_cell(config):
+    if isinstance(config, dict):
         return config
     try:
         return run_experiment(config)
     except Exception as exc:  # errors propagate per cell without killing the grid
-        return {"error": f"{type(exc).__name__}: {exc}", "label": config.strategy.label(), "seed": config.seed}
+        return _error_cell(config, exc)
+
+
+def _cell_result(future, config):
+    try:
+        return future.result()
+    except concurrent.futures.process.BrokenProcessPool as exc:  # a worker died
+        return _error_cell(config, exc)
 
 
 def run_grid(grid: dict, workers: int = 1):
-    """One RunRecord per grid cell; cells are isolated, so serial and parallel
-    execution produce identical records."""
+    """One RunRecord or error dict per grid cell, in grid order; cells are
+    isolated, so serial and parallel execution produce identical records."""
     configs = expand_grid(grid)
     if workers <= 1:
         return [_run_cell(c) for c in configs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell, configs))
+        futures = [pool.submit(_run_cell, c) for c in configs]
+        return [_cell_result(f, c) for f, c in zip(futures, configs)]
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +428,13 @@ def curve_csv(record: RunRecord) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: runs/<hash>/{config.json, R.csv, metrics.json, curve.csv,
-# diagnostics.json}. Accuracies are stored as fractions, so they reload
-# bit-for-bit; only `report` converts to percent.
+# Persistence: one runs/<hash>/record.json per run (the RunRecord fields,
+# with the matrix as rows of fractions, null where unfilled), written to a
+# temp file and renamed into place, so a record is either whole or absent.
+# JSON floats round-trip, so accuracies reload bit-for-bit; only `report`
+# converts to percent.
+
+RECORD_FILE = "record.json"
 
 
 def record_dir(record: RunRecord, out_dir: str) -> str:
@@ -416,64 +442,34 @@ def record_dir(record: RunRecord, out_dir: str) -> str:
 
 
 def save_record(record: RunRecord, out_dir: str) -> str:
+    """Write `record` atomically and return its run directory."""
+    rows = np.where(record.matrix.filled, record.matrix.values, None).tolist()
+    text = json.dumps({**vars(record), "matrix": rows}, indent=1, sort_keys=True)
     path = record_dir(record, out_dir)
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "config.json"), "w") as fh:
-        json.dump(record.config_json, fh, indent=2, sort_keys=True)
-    with open(os.path.join(path, "R.csv"), "w") as fh:
-        fh.write(metrics.matrix_to_csv(record.matrix))
-    summary = {
-        "label": record.label,
-        "scenario": record.scenario,
-        "seed": record.seed,
-        "mode": "fraction",
-        "metrics": record.metric_summary,
-        "curves": record.curves,
-        "mask": json.loads(metrics.mask_sidecar(record.matrix)),
-    }
-    with open(os.path.join(path, "metrics.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    if record.curves is not None:
-        with open(os.path.join(path, "curve.csv"), "w") as fh:
-            fh.write(curve_csv(record))
-    with open(os.path.join(path, "diagnostics.json"), "w") as fh:
-        json.dump(
-            {"session_seconds": record.session_seconds, **record.diagnostics},
-            fh,
-            indent=2,
-            sort_keys=True,
-            default=str,
-        )
+    tmp = os.path.join(path, f"{RECORD_FILE}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, os.path.join(path, RECORD_FILE))
+    finally:
+        if os.path.exists(tmp):  # the write failed before the rename
+            os.unlink(tmp)
     return path
 
 
 def load_record(path: str) -> RunRecord:
-    with open(os.path.join(path, "config.json")) as fh:
-        config_json = json.load(fh)
-    with open(os.path.join(path, "metrics.json")) as fh:
-        summary = json.load(fh)
-    if summary.get("mode") != "fraction":
-        raise ValueError(f"{path}: record mode {summary.get('mode')!r}, expected 'fraction'")
-    with open(os.path.join(path, "R.csv")) as fh:
-        matrix = metrics.matrix_from_csv(fh.read())
-    diagnostics = {}
-    diag_path = os.path.join(path, "diagnostics.json")
-    if os.path.exists(diag_path):
-        with open(diag_path) as fh:
-            diagnostics = json.load(fh)
-    session_seconds = diagnostics.pop("session_seconds", [])  # saved alongside, not a diagnostic
-    return RunRecord(
-        config_hash=os.path.basename(path.rstrip("/")),
-        label=summary["label"],
-        scenario=summary["scenario"],
-        seed=summary["seed"],
-        matrix=matrix,
-        metric_summary=summary["metrics"],
-        curves=summary.get("curves"),
-        session_seconds=session_seconds,
-        diagnostics=diagnostics,
-        config_json=config_json,
-    )
+    with open(os.path.join(path, RECORD_FILE)) as fh:
+        raw = json.load(fh)
+    try:
+        matrix = AccuracyMatrix(len(raw["matrix"]))
+        for t, row in enumerate(raw["matrix"], start=1):
+            for j, value in enumerate(row, start=1):
+                if value is not None:  # unfilled cells are null
+                    matrix.record(t, j, value)
+        return RunRecord(**{**raw, "matrix": matrix})
+    except (KeyError, TypeError) as exc:  # a file edited or written by another tool
+        raise ValueError(f"{path}: malformed run record ({type(exc).__name__}: {exc})") from None
 
 
 def load_records(out_dir: str) -> list[RunRecord]:
@@ -481,7 +477,7 @@ def load_records(out_dir: str) -> list[RunRecord]:
     records = []
     for name in sorted(os.listdir(out_dir)):
         path = os.path.join(out_dir, name)
-        if os.path.isdir(path) and os.path.exists(os.path.join(path, "metrics.json")):
+        if os.path.exists(os.path.join(path, RECORD_FILE)):
             records.append(load_record(path))
     return sorted(records, key=lambda r: (r.label.split("[")[0], r.seed))
 

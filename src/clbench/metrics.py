@@ -4,14 +4,12 @@ R[t][j] is the accuracy on task j's test split after training session t
 (1-based). Backward transfer averages the drop of earlier tasks, forward
 transfer averages zero-shot accuracy on future tasks, final accuracy is the
 mean of the last row, and the incremental average covers the whole lower
-triangle. All functions operate on fractions in [0, 1], and the CSV and
-sidecar forms store fractions too, so a matrix reloads bit-for-bit; only the
-report tables print percentages.
+triangle. All functions operate on fractions in [0, 1]; only the report
+tables print percentages.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +22,6 @@ __all__ = [
     "a_incremental",
     "session_curve",
     "matrix_to_csv",
-    "matrix_from_csv",
 ]
 
 CURVE_MODES = ("all-tasks", "seen-tasks")
@@ -138,7 +135,8 @@ def session_curve(matrix: AccuracyMatrix, mode: str = "all-tasks") -> np.ndarray
 
 def matrix_to_csv(matrix: AccuracyMatrix) -> str:
     """One row per session; unfilled cells stay empty. Full float precision
-    so identical matrices serialize byte-identically."""
+    so identical matrices serialize byte-identically: the sha256 of this text
+    is the fingerprint that pins a run's R matrix."""
     lines = [",".join(f"test_{j}" for j in range(1, matrix.T + 1))]
     for t in range(matrix.T):
         cells = [
@@ -147,23 +145,3 @@ def matrix_to_csv(matrix: AccuracyMatrix) -> str:
         ]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def matrix_from_csv(text: str) -> AccuracyMatrix:
-    rows = [line.split(",") for line in text.strip().split("\n")[1:]]
-    matrix = AccuracyMatrix(T=len(rows))
-    for t, row in enumerate(rows, start=1):
-        for j, cell in enumerate(row, start=1):
-            if cell:
-                matrix.record(t, j, float(cell))
-    return matrix
-
-
-def mask_sidecar(matrix: AccuracyMatrix) -> str:
-    return json.dumps(
-        {
-            "T": matrix.T,
-            "mode": "fraction",
-            "filled": matrix.filled.astype(int).tolist(),
-        }
-    )

@@ -28,6 +28,7 @@ from __future__ import annotations
 import glob as globmod
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,10 +153,14 @@ def _check_manifest(manifest: dict) -> None:
     if not isinstance(tasks, list) or not tasks:
         raise ManifestError("manifest needs a non-empty 'tasks' list")
     for ti, task in enumerate(tasks):
+        if not isinstance(task, dict):
+            raise ManifestError(f"task {ti + 1} must be a JSON object")
         classes = task.get("classes")
         if not isinstance(classes, list) or not classes:
             raise ManifestError(f"task {ti + 1} needs a non-empty 'classes' list")
         for entry in classes:
+            if not isinstance(entry, dict):
+                raise ManifestError(f"task {ti + 1}: class entry {entry!r} must be a JSON object")
             if "label" not in entry:
                 raise ManifestError(f"task {ti + 1}: class entry missing 'label'")
             has_cluster = "cluster" in entry
@@ -178,6 +183,16 @@ def _check_manifest(manifest: dict) -> None:
                     )
             if has_cluster and not isinstance(manifest.get("feature_dim"), int):
                 raise ManifestError("manifests with cluster sources need 'feature_dim'")
+            cluster = entry.get("cluster")
+            if has_cluster and not (
+                isinstance(cluster, dict)
+                and isinstance(cluster.get("mean"), list)
+                and isinstance(cluster.get("sigma"), numbers.Real)
+            ):
+                raise ManifestError(
+                    f"task {ti + 1} class {entry['label']!r}: a cluster needs a "
+                    "list 'mean' and a numeric 'sigma'"
+                )
 
 
 def _global_labels(manifest: dict) -> tuple[str, ...]:

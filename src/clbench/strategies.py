@@ -22,7 +22,6 @@ __all__ = [
     "KINDS",
     "StrategyConfig",
     "TrainConfig",
-    "Model",
     "RngBundle",
     "StreamAccess",
     "AccessViolation",
@@ -122,12 +121,6 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-
-
-@dataclass
-class Model:
-    spec: ModelSpec
-    params: np.ndarray
 
 
 class RngBundle:
@@ -552,8 +545,8 @@ class Strategy:
 
     # --- hooks -------------------------------------------------------------
 
-    def initial_params(self, model: Model, t: int) -> np.ndarray:
-        return model.params
+    def initial_params(self, params: np.ndarray, t: int) -> np.ndarray:
+        return params
 
     def session_data(self, access: StreamAccess, t: int):
         return access.train(t)
@@ -584,12 +577,12 @@ class Strategy:
 
     # --- shared session loop -----------------------------------------------
 
-    def train_session(self, model: Model, access: StreamAccess, t: int, cfg: TrainConfig) -> np.ndarray:
-        # adam_step returns fresh parameters, so the incoming model is never
+    def train_session(self, params: np.ndarray, access: StreamAccess, t: int, cfg: TrainConfig) -> np.ndarray:
+        # adam_step returns fresh parameters, so the incoming array is never
         # written to
         self._cfg = cfg
         x, y = self.session_data(access, t)
-        params = self.initial_params(model, t)
+        params = self.initial_params(params, t)
         self.before_session(params, access, t)
         n = x.shape[0]
         adam = AdamState.fresh(params.size, cfg.learning_rate)
@@ -629,7 +622,7 @@ class CumulativeStrategy(Strategy):
     def allowed_tasks(self, t, n_tasks):
         return set(range(1, t + 1))
 
-    def initial_params(self, model, t):
+    def initial_params(self, params, t):
         return ndcore.init_params(self.spec, self.rngs.init_rng())
 
     def session_data(self, access, t):
@@ -740,7 +733,7 @@ class GDumbStrategy(_BufferedStrategy):
 
     policy = "class-balanced-greedy"
 
-    def initial_params(self, model, t):
+    def initial_params(self, params, t):
         return ndcore.init_params(self.spec, self.rngs.init_rng())
 
     def shuffle_key(self, t):
@@ -839,8 +832,8 @@ def make_strategy(config: StrategyConfig, spec: ModelSpec, master_seed: int) -> 
     return _STRATEGIES[config.kind](config, spec, master_seed)
 
 
-def train_task(strategy: Strategy, model: Model, data, t: int, cfg: TrainConfig) -> Model:
-    """Run training session t and return the updated model.
+def train_task(strategy: Strategy, params: np.ndarray, data, t: int, cfg: TrainConfig) -> np.ndarray:
+    """Run training session t from `params` and return the trained parameters.
 
     Sessions are strictly sequential; the access audit rejects a session that
     pulled train data from tasks outside the strategy's declared set.
@@ -851,7 +844,7 @@ def train_task(strategy: Strategy, model: Model, data, t: int, cfg: TrainConfig)
         )
     access = StreamAccess.from_stream(data) if isinstance(data, TaskStream) else data
     access.begin_session(t)
-    params = strategy.train_session(model, access, t, cfg)
+    params = strategy.train_session(params, access, t, cfg)
     touched = access.accessed_in(t)
     allowed = strategy.allowed_tasks(t, access.n_tasks)
     if not touched <= allowed:
@@ -860,4 +853,4 @@ def train_task(strategy: Strategy, model: Model, data, t: int, cfg: TrainConfig)
             f"outside its allowed set {sorted(allowed)}"
         )
     strategy.completed = t
-    return Model(spec=model.spec, params=params)
+    return params

@@ -18,7 +18,6 @@ from clbench.ndcore import ModelSpec, init_params
 from clbench.strategies import (
     EwcState,
     MemoryBuffer,
-    Model,
     SiState,
     StrategyConfig,
     TrainConfig,
@@ -171,11 +170,11 @@ def test_regularizer_identities():
     spec = ModelSpec(input_dim=stream.feature_dim, hidden_dims=(16,), output_dim=stream.n_classes)
     ewc = make_strategy(StrategyConfig("EWC", lam=0.5, fisher_budget=32), spec, master_seed=1)
     si = make_strategy(StrategyConfig("SI", lam=0.5), spec, master_seed=1)
-    ewc_model = Model(spec=spec, params=init_params(spec, ewc.rngs.init_rng()))
-    si_model = Model(spec=spec, params=init_params(spec, si.rngs.init_rng()))
+    ewc_params = init_params(spec, ewc.rngs.init_rng())
+    si_params = init_params(spec, si.rngs.init_rng())
     for t in range(1, stream.n_tasks + 1):
-        ewc_model = train_task(ewc, ewc_model, stream, t, cfg)
-        si_model = train_task(si, si_model, stream, t, cfg)
+        ewc_params = train_task(ewc, ewc_params, stream, t, cfg)
+        si_params = train_task(si, si_params, stream, t, cfg)
         assert all((fisher >= 0).all() for _, fisher in ewc.state.anchors)
         assert (si.state.omega >= 0).all()
     assert len(ewc.state.anchors) == stream.n_tasks

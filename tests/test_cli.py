@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from clbench import scenarios
+from clbench import scenarios, strategies
 from clbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 
 
@@ -48,10 +48,25 @@ class TestExitCodes:
         assert main(["run", "--config", "does-not-exist.json"]) == EXIT_RUNTIME
         assert "does-not-exist.json" in capsys.readouterr().err
 
-    def test_malformed_manifest_is_validation_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "tasks",
+        [
+            [],
+            [1],
+            [{"classes": [3]}],
+            [{"classes": [{"label": "a", "cluster": {"sigma": 1.0}, "train_count": 1, "test_count": 1}]}],
+            [{"classes": [{"label": "a", "cluster": {"mean": [0.0], "sigma": "1"},
+                           "train_count": 1, "test_count": 1}]}],
+            [{"classes": [{"label": "a", "cluster": [0.0], "train_count": 1, "test_count": 1}]}],
+        ],
+        ids=["empty-tasks", "task-not-object", "class-not-object", "cluster-without-mean",
+             "cluster-sigma-not-number", "cluster-not-object"],
+    )
+    def test_malformed_manifest_is_validation_error(self, tmp_path, capsys, tasks):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"scenario": "DI", "tasks": []}))
+        bad.write_text(json.dumps({"scenario": "DI", "feature_dim": 1, "tasks": tasks}))
         assert main(["validate", "--manifest", str(bad)]) == EXIT_VALIDATION
+        assert "validation error:" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -155,6 +170,47 @@ class TestGrid:
         captured = capsys.readouterr()
         assert "cell failed: 'Naive' seed=1" in captured.err
         assert "Naive[seed=1]" in captured.out
+
+
+    def write_grid(self, tmp_path, seeds):
+        grid = {
+            "manifest": write_manifest(tmp_path),
+            "strategies": [{"kind": "Naive"}, {"kind": "Replay", "memory_size": 4}],
+            "seeds": seeds,
+            "epochs": 2,
+            "batch_size": 4,
+            "hidden_dims": [6],
+            "out_dir": str(tmp_path / "runs"),
+        }
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        return str(path)
+
+    def test_second_grid_trains_nothing_and_reports_the_same(self, tmp_path, capsys, monkeypatch):
+        path = self.write_grid(tmp_path, [1, 2])
+        assert main(["grid", "--config", path]) == EXIT_OK
+        first = capsys.readouterr().out
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a finished cell was trained again")
+
+        monkeypatch.setattr(strategies, "train_task", no_training)
+        assert main(["grid", "--config", path]) == EXIT_OK
+        assert capsys.readouterr().out == first
+
+    def test_dead_worker_still_reports_finished_rows(self, tmp_path, capsys, monkeypatch,
+                                                     dying_grid_worker):
+        path = self.write_grid(tmp_path, [1, 2])
+        dying_grid_worker(str(tmp_path / "runs"))
+        assert main(["grid", "--config", path, "--workers", "2"]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert "cell failed: Naive seed=2: BrokenProcessPool" in captured.err
+        assert "Naive[seed=1]" in captured.out
+
+        monkeypatch.undo()
+        assert main(["grid", "--config", path, "--workers", "2"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "Naive[seed=2]" in out and "Replay(mem=4)[mean]" in out
 
 
 class TestGenSynthetic:

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -152,28 +154,130 @@ class TestRunExperiment:
         assert train_std[:, 1].std() > 0.1  # real dims got whitened
 
 
+def saved_files(root):
+    return sorted(
+        os.path.relpath(os.path.join(d, f), root) for d, _, files in os.walk(root) for f in files
+    )
+
+
+def assert_records_equal(loaded, record):
+    assert np.array_equal(loaded.matrix.values, record.matrix.values, equal_nan=True)
+    assert np.array_equal(loaded.matrix.filled, record.matrix.filled)
+    assert loaded.config_hash == record.config_hash
+    assert (loaded.label, loaded.scenario, loaded.seed) == (record.label, record.scenario, record.seed)
+    assert loaded.metric_summary == record.metric_summary
+    assert loaded.curves == record.curves
+    assert loaded.session_seconds == record.session_seconds
+    assert loaded.diagnostics == record.diagnostics
+    assert loaded.config_json == record.config_json
+
+
+def handmade_record(matrix, joint=False):
+    """A record as `run_experiment` would build it around `matrix`."""
+    acc = metrics.acc_final(matrix)
+    return RunRecord(
+        config_hash="0123456789abcdef",
+        label="Joint[seed=1]" if joint else "Naive[seed=1]",
+        scenario="DI",
+        seed=1,
+        matrix=matrix,
+        metric_summary={"bwt": None, "fwt": None, "a": None, "acc": acc} if joint else {
+            "bwt": metrics.bwt(matrix),
+            "fwt": metrics.fwt(matrix),
+            "a": metrics.a_incremental(matrix),
+            "acc": acc,
+        },
+        curves=None if joint else {
+            "all_tasks": metrics.session_curve(matrix, "all-tasks").tolist(),
+            "seen_tasks": metrics.session_curve(matrix, "seen-tasks").tolist(),
+        },
+        session_seconds=[0.5, 0.25],
+        diagnostics={},
+    )
+
+
 class TestPersistence:
     def test_record_round_trip(self, tmp_path):
         config = tiny_config(out_dir=str(tmp_path))
         record = run_experiment(config)
-        run_dir = os.path.join(str(tmp_path), record.config_hash)
-        for name in ("config.json", "R.csv", "metrics.json", "curve.csv", "diagnostics.json"):
-            assert os.path.exists(os.path.join(run_dir, name))
-        loaded = load_record(run_dir)
-        assert np.array_equal(loaded.matrix.values, record.matrix.values)
-        assert loaded.label == record.label
-        assert loaded.metric_summary["acc"] == record.metric_summary["acc"]
-        assert loaded.diagnostics == record.diagnostics
-        assert loaded.session_seconds == record.session_seconds
-        assert loaded.curves == record.curves
+        assert saved_files(str(tmp_path)) == [os.path.join(record.config_hash, "record.json")]
+        assert_records_equal(load_record(os.path.join(str(tmp_path), record.config_hash)), record)
+
+    @pytest.mark.parametrize("kind", harness.strategies.KINDS)
+    def test_every_regime_round_trips(self, tmp_path, kind):
+        strategy = StrategyConfig(kind, lam=0.5, alpha=1.0, memory_size=6, per_task_memory=4,
+                                  fisher_budget=4)
+        record = run_experiment(tiny_config(strategy))
+        assert_records_equal(load_record(save_record(record, str(tmp_path))), record)
+
+    def test_random_matrix_round_trips(self, tmp_path):
+        values = np.random.default_rng(7).uniform(0, 1, size=(4, 4))
+        matrix = metrics.AccuracyMatrix(4)
+        for t in range(1, 5):
+            for j in range(1, 5):
+                matrix.record(t, j, values[t - 1, j - 1])
+        record = handmade_record(matrix)
+        loaded = load_record(save_record(record, str(tmp_path)))
+        assert_records_equal(loaded, record)
+        assert metrics.matrix_to_csv(loaded.matrix) == metrics.matrix_to_csv(matrix)
+
+    def test_last_row_only_matrix_round_trips(self, tmp_path):
+        matrix = metrics.AccuracyMatrix(3)
+        for j in range(1, 4):
+            matrix.record(3, j, 0.25)
+        record = handmade_record(matrix, joint=True)
+        loaded = load_record(save_record(record, str(tmp_path)))
+        assert_records_equal(loaded, record)
+        assert not loaded.matrix.filled[:2].any() and loaded.matrix.filled[2].all()
+        assert metrics.matrix_to_csv(loaded.matrix) == metrics.matrix_to_csv(matrix)
 
     def test_rerun_reproduces_r_csv_bitwise(self, tmp_path):
         config = tiny_config(out_dir=str(tmp_path))
+        first = run_experiment(config)
+        shutil.rmtree(os.path.join(str(tmp_path), first.config_hash))
+        second = run_experiment(config)
+        assert metrics.matrix_to_csv(second.matrix) == metrics.matrix_to_csv(first.matrix)
+
+    def test_rerun_resumes_without_training(self, tmp_path, monkeypatch):
+        config = tiny_config(out_dir=str(tmp_path))
         record = run_experiment(config)
-        path = os.path.join(str(tmp_path), record.config_hash, "R.csv")
-        first = open(path).read()
-        run_experiment(config)
-        assert open(path).read() == first
+        path = os.path.join(str(tmp_path), record.config_hash, "record.json")
+        with open(path, "rb") as fh:
+            saved = fh.read()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a saved run was trained again")
+
+        monkeypatch.setattr(harness.strategies, "train_task", no_training)
+        monkeypatch.setattr(harness.scenarios, "build_stream", no_training)
+        assert_records_equal(run_experiment(config), record)
+        with open(path, "rb") as fh:
+            assert fh.read() == saved
+
+    @pytest.mark.parametrize("fault", ["unserialisable", "replace"])
+    def test_failed_write_leaves_previous_record(self, tmp_path, monkeypatch, fault):
+        record = run_experiment(tiny_config())
+        path = save_record(record, str(tmp_path / "kept"))
+        with open(os.path.join(path, "record.json"), "rb") as fh:
+            saved = fh.read()
+        broken = dataclasses.replace(record, session_seconds=[9.0, 9.0])
+        if fault == "unserialisable":
+            broken.diagnostics = {**record.diagnostics, "oops": object()}
+            expected = TypeError
+        else:
+            def failing_replace(src, dst):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(harness.os, "replace", failing_replace)
+            expected = OSError
+        with pytest.raises(expected):
+            save_record(broken, str(tmp_path / "kept"))
+        assert os.listdir(path) == ["record.json"]
+        with open(os.path.join(path, "record.json"), "rb") as fh:
+            assert fh.read() == saved
+        with pytest.raises(expected):
+            save_record(broken, str(tmp_path / "fresh"))
+        assert saved_files(str(tmp_path / "fresh")) == []
 
     def test_fractions_reload_exactly(self, tmp_path):
         # k/n accuracies that a x100 write and /100 read moved by one ulp
@@ -182,32 +286,12 @@ class TestPersistence:
         for t in (1, 2):
             for j in (1, 2):
                 matrix.record(t, j, values[t - 1, j - 1])
-        record = RunRecord(
-            config_hash="0123456789abcdef",
-            label="Naive[seed=1]",
-            scenario="DI",
-            seed=1,
-            matrix=matrix,
-            metric_summary={
-                "bwt": metrics.bwt(matrix),
-                "fwt": metrics.fwt(matrix),
-                "a": metrics.a_incremental(matrix),
-                "acc": metrics.acc_final(matrix),
-            },
-            curves={
-                "all_tasks": metrics.session_curve(matrix, "all-tasks").tolist(),
-                "seen_tasks": metrics.session_curve(matrix, "seen-tasks").tolist(),
-            },
-            session_seconds=[0.5, 0.25],
-            diagnostics={},
-        )
-        path = save_record(record, str(tmp_path))
-        loaded = load_record(path)
+        record = handmade_record(matrix)
+        loaded = load_record(save_record(record, str(tmp_path)))
         assert np.array_equal(loaded.matrix.values, values)
         assert loaded.metric_summary == record.metric_summary
         assert loaded.curves == record.curves
-        with open(os.path.join(path, "curve.csv")) as fh:
-            rows = fh.read().splitlines()[1:]
+        rows = curve_csv(loaded).splitlines()[1:]
         assert [float(row.split(",")[1]) for row in rows] == record.curves["all_tasks"]
 
     def test_records_load_in_approach_then_seed_order(self, tmp_path):
@@ -225,16 +309,31 @@ class TestPersistence:
         ]
 
     def test_percent_record_rejected(self, tmp_path):
-        record = run_experiment(tiny_config(out_dir=str(tmp_path)))
-        path = os.path.join(str(tmp_path), record.config_hash)
-        metrics_path = os.path.join(path, "metrics.json")
-        with open(metrics_path) as fh:
-            summary = json.load(fh)
-        assert summary["mode"] == "fraction"
-        summary["mode"] = "percent"
-        with open(metrics_path, "w") as fh:
-            json.dump(summary, fh)
-        with pytest.raises(ValueError, match=record.config_hash):
+        # a record from before record.json (R.csv, metrics.json with a
+        # "mode") is neither listed nor loadable, so it cannot be misread
+        path = tmp_path / "0123456789abcdef"
+        path.mkdir()
+        (path / "R.csv").write_text("test_1\n80\n")
+        (path / "metrics.json").write_text(json.dumps({"mode": "percent", "label": "Naive[seed=1]"}))
+        assert harness.load_records(str(tmp_path)) == []
+        with pytest.raises(FileNotFoundError):
+            load_record(str(path))
+
+    @pytest.mark.parametrize("edit", ["not-an-object", "missing-key", "unknown-key"])
+    def test_malformed_record_is_value_error(self, tmp_path, edit):
+        matrix = metrics.AccuracyMatrix(1)
+        matrix.record(1, 1, 0.5)
+        path = save_record(handmade_record(matrix, joint=True), str(tmp_path))
+        with open(os.path.join(path, "record.json")) as fh:
+            raw = json.load(fh)
+        bad = {
+            "not-an-object": [],
+            "missing-key": {k: v for k, v in raw.items() if k != "label"},
+            "unknown-key": {**raw, "extra": 1},
+        }[edit]
+        with open(os.path.join(path, "record.json"), "w") as fh:
+            json.dump(bad, fh)
+        with pytest.raises(ValueError, match="malformed run record"):
             load_record(path)
 
 
@@ -293,6 +392,33 @@ class TestGrid:
         records = [r for r in results if not isinstance(r, dict)]
         assert len(errors) == 1 and "memory" in errors[0]["error"]
         assert len(records) == 1
+
+
+    def test_dead_worker_becomes_error_cell_and_rerun_resumes(self, tmp_path, monkeypatch,
+                                                              dying_grid_worker):
+        out_dir = str(tmp_path / "runs")
+        grid = self.grid(strategies=[{"kind": "Naive"}], seeds=[1, 2, 3], out_dir=out_dir)
+        dying_grid_worker(out_dir)
+        results = run_grid(grid, workers=2)
+        assert [r.seed if isinstance(r, RunRecord) else r["seed"] for r in results] == [1, 2, 3]
+        assert isinstance(results[0], RunRecord)
+        assert "BrokenProcessPool" in results[1]["error"]
+        assert isinstance(results[2], (RunRecord, dict))
+
+        monkeypatch.undo()  # disarm, then count the sessions a rerun trains
+        trained = []
+        original = harness.strategies.train_task
+
+        def counting(strategy, *args):
+            trained.append(strategy.rngs.master)
+            return original(strategy, *args)
+
+        monkeypatch.setattr(harness.strategies, "train_task", counting)
+        again = run_grid(grid)
+        assert all(isinstance(r, RunRecord) for r in again)
+        assert [r.seed for r in again] == [1, 2, 3]
+        assert 2 in trained and 1 not in trained
+        assert again[0].session_seconds == results[0].session_seconds  # loaded, not retrained
 
 
 class TestReport:

@@ -9,7 +9,6 @@ from clbench.metrics import (
     acc_final,
     bwt,
     fwt,
-    matrix_from_csv,
     matrix_to_csv,
     session_curve,
 )
@@ -210,24 +209,19 @@ class TestProperties:
 
 
 class TestCsv:
-    def test_round_trip(self):
-        matrix, _ = full_random_matrix(4, 7)
-        text = matrix_to_csv(matrix)
-        back = matrix_from_csv(text)
-        assert np.array_equal(back.values, matrix.values)
-
     def test_partial_matrix_keeps_empty_cells(self):
         matrix = AccuracyMatrix(3)
         for j in range(1, 4):
             matrix.record(3, j, 0.25)
-        text = matrix_to_csv(matrix)
-        assert text.splitlines()[1] == ",,"
-        back = matrix_from_csv(text)
-        assert not back.filled[0].any()
-        assert back.filled[2].all()
+        lines = matrix_to_csv(matrix).splitlines()
+        assert lines == ["test_1,test_2,test_3", ",,", ",,", "0.25,0.25,0.25"]
 
     def test_serialization_is_bitwise_stable(self):
-        matrix, _ = full_random_matrix(5, 11)
-        assert matrix_to_csv(matrix) == matrix_to_csv(matrix)
-        again = matrix_from_csv(matrix_to_csv(matrix))
+        matrix, values = full_random_matrix(5, 11)
+        again = AccuracyMatrix(5)
+        for t in range(1, 6):
+            for j in range(1, 6):
+                again.record(t, j, float(values[t - 1, j - 1]))
         assert matrix_to_csv(again) == matrix_to_csv(matrix)
+        cells = [float(c) for row in matrix_to_csv(matrix).splitlines()[1:] for c in row.split(",")]
+        assert cells == values.ravel().tolist()  # .17g keeps every bit

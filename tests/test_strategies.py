@@ -9,7 +9,6 @@ from clbench.strategies import (
     AccessViolation,
     EwcState,
     MemoryBuffer,
-    Model,
     SessionOrderError,
     SiState,
     StrategyConfig,
@@ -575,24 +574,24 @@ def tiny_setup(kind="Naive", seed=3, n_tasks=2, **cfg_kw):
     stream = tiny_stream(n_tasks=n_tasks)
     spec = ModelSpec(input_dim=stream.feature_dim, hidden_dims=(6,), output_dim=stream.n_classes)
     strategy = make_strategy(StrategyConfig(kind, **cfg_kw), spec, master_seed=seed)
-    model = Model(spec=spec, params=init_params(spec, strategy.rngs.init_rng()))
+    params = init_params(spec, strategy.rngs.init_rng())
     cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2)
-    return stream, spec, strategy, model, cfg
+    return stream, spec, strategy, params, cfg
 
 
 class TestTrainTask:
     def test_out_of_order_session_rejected(self):
-        stream, _, strategy, model, cfg = tiny_setup()
+        stream, _, strategy, params, cfg = tiny_setup()
         with pytest.raises(SessionOrderError):
-            train_task(strategy, model, stream, 2, cfg)
-        model = train_task(strategy, model, stream, 1, cfg)
+            train_task(strategy, params, stream, 2, cfg)
+        params = train_task(strategy, params, stream, 1, cfg)
         with pytest.raises(SessionOrderError):
-            train_task(strategy, model, stream, 1, cfg)
+            train_task(strategy, params, stream, 1, cfg)
 
     def test_naive_equals_plain_fine_tuning(self):
         # re-derive the expected weights with a hand-rolled loop over task t only
-        stream, spec, strategy, model, cfg = tiny_setup()
-        out = train_task(strategy, model, stream, 1, cfg)
+        stream, spec, strategy, params, cfg = tiny_setup()
+        out = train_task(strategy, params, stream, 1, cfg)
 
         params = init_params(spec, np.random.default_rng(np.random.SeedSequence([3, 0])))
         adam = AdamState.fresh(params.size, cfg.learning_rate)
@@ -603,20 +602,20 @@ class TestTrainTask:
                 idx = order[s : s + cfg.batch_size]
                 grad = ndcore.backward(params, spec, x[idx], y[idx])
                 params, adam = adam_step(adam, params, grad)
-        assert np.array_equal(out.params, params)
+        assert np.array_equal(out, params)
 
     def test_naive_touches_only_current_task(self):
-        stream, _, strategy, model, cfg = tiny_setup()
+        stream, _, strategy, params, cfg = tiny_setup()
         access = StreamAccess.from_stream(stream)
-        model = train_task(strategy, model, access, 1, cfg)
-        train_task(strategy, model, access, 2, cfg)
+        params = train_task(strategy, params, access, 1, cfg)
+        train_task(strategy, params, access, 2, cfg)
         assert access.accessed_in(1) == {1}
         assert access.accessed_in(2) == {2}
 
     def test_cumulative_retrains_from_scratch_on_union(self):
-        stream, spec, strategy, model, cfg = tiny_setup("Cumulative")
-        model = train_task(strategy, model, stream, 1, cfg)
-        out = train_task(strategy, model, stream, 2, cfg)
+        stream, spec, strategy, params, cfg = tiny_setup("Cumulative")
+        params = train_task(strategy, params, stream, 1, cfg)
+        out = train_task(strategy, params, stream, 2, cfg)
 
         params = init_params(spec, np.random.default_rng(np.random.SeedSequence([3, 0])))
         adam = AdamState.fresh(params.size, cfg.learning_rate)
@@ -628,10 +627,10 @@ class TestTrainTask:
                 idx = order[s : s + cfg.batch_size]
                 grad = ndcore.backward(params, spec, x[idx], y[idx])
                 params, adam = adam_step(adam, params, grad)
-        assert np.array_equal(out.params, params)
+        assert np.array_equal(out, params)
 
     def test_rogue_access_is_violation(self):
-        stream, _, strategy, model, cfg = tiny_setup()
+        stream, _, strategy, params, cfg = tiny_setup()
 
         original = strategy.session_data
 
@@ -641,15 +640,15 @@ class TestTrainTask:
 
         strategy.session_data = rogue
         with pytest.raises(AccessViolation):
-            train_task(strategy, model, stream, 1, cfg)
+            train_task(strategy, params, stream, 1, cfg)
 
     def test_cumulative_and_joint_are_allowed_unions(self):
-        stream, _, strategy, model, cfg = tiny_setup("Cumulative")
-        model = train_task(strategy, model, stream, 1, cfg)
-        train_task(strategy, model, stream, 2, cfg)
+        stream, _, strategy, params, cfg = tiny_setup("Cumulative")
+        params = train_task(strategy, params, stream, 1, cfg)
+        train_task(strategy, params, stream, 2, cfg)
 
-        stream2, _, joint, model2, cfg2 = tiny_setup("Joint")
-        train_task(joint, model2, stream2, 1, cfg2)
+        stream2, _, joint, params2, cfg2 = tiny_setup("Joint")
+        train_task(joint, params2, stream2, 1, cfg2)
 
     @pytest.mark.parametrize("kind,kw", [
         ("Naive", {}),
@@ -663,17 +662,17 @@ class TestTrainTask:
         ("AGEM", {"per_task_memory": 4}),
     ])
     def test_every_regime_stays_within_declared_tasks(self, kind, kw):
-        stream, spec, strategy, model, cfg = tiny_setup(kind, n_tasks=3, **kw)
+        stream, spec, strategy, params, cfg = tiny_setup(kind, n_tasks=3, **kw)
         access = StreamAccess.from_stream(stream)
         for t in (1, 2, 3):
-            model = train_task(strategy, model, access, t, cfg)
+            params = train_task(strategy, params, access, t, cfg)
             expected = set(range(1, t + 1)) if kind == "Cumulative" else {t}
             assert access.accessed_in(t) == expected
 
     def test_joint_accesses_all_tasks_once(self):
-        stream, _, strategy, model, cfg = tiny_setup("Joint", n_tasks=3)
+        stream, _, strategy, params, cfg = tiny_setup("Joint", n_tasks=3)
         access = StreamAccess.from_stream(stream)
-        train_task(strategy, model, access, 1, cfg)
+        train_task(strategy, params, access, 1, cfg)
         assert access.accessed_in(1) == {1, 2, 3}
 
 
@@ -694,10 +693,10 @@ class TestDegeneracyToNaive:
 
         def run(kind, kw):
             strategy = make_strategy(StrategyConfig(kind, **kw), spec, master_seed=11)
-            model = Model(spec=spec, params=init_params(spec, strategy.rngs.init_rng()))
+            params = init_params(spec, strategy.rngs.init_rng())
             for t in (1, 2):
-                model = train_task(strategy, model, stream, t, cfg)
-            return model.params
+                params = train_task(strategy, params, stream, t, cfg)
+            return params
 
         assert np.array_equal(run(kind, kw), run("Naive", {}))
 
@@ -713,39 +712,39 @@ class TestGDumbDeterminism:
         cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2)
 
         two = make_strategy(StrategyConfig("GDumb", memory_size=10), spec, master_seed=5)
-        model = Model(spec=spec, params=init_params(spec, two.rngs.init_rng()))
-        model = train_task(two, model, StreamAccess([(a.train_x, a.train_y), (b.train_x, b.train_y)]), 1, cfg)
-        model = train_task(two, model, StreamAccess([(a.train_x, a.train_y), (b.train_x, b.train_y)]), 2, cfg)
+        params = init_params(spec, two.rngs.init_rng())
+        params = train_task(two, params, StreamAccess([(a.train_x, a.train_y), (b.train_x, b.train_y)]), 1, cfg)
+        params = train_task(two, params, StreamAccess([(a.train_x, a.train_y), (b.train_x, b.train_y)]), 2, cfg)
 
         merged_x = np.vstack([a.train_x, b.train_x])
         merged_y = np.concatenate([a.train_y, b.train_y])
         one = make_strategy(StrategyConfig("GDumb", memory_size=10), spec, master_seed=5)
-        single = Model(spec=spec, params=init_params(spec, one.rngs.init_rng()))
+        single = init_params(spec, one.rngs.init_rng())
         single = train_task(one, single, StreamAccess([(merged_x, merged_y)]), 1, cfg)
 
         assert np.array_equal(one.buffer.labels, two.buffer.labels)
         assert np.array_equal(one.buffer.features, two.buffer.features)
-        assert np.array_equal(single.params, model.params)
+        assert np.array_equal(single, params)
 
 
 class TestEpisodicStrategies:
     def test_gem_ring_keeps_last_samples(self):
-        stream, _, strategy, model, cfg = tiny_setup("GEM", per_task_memory=5)
-        model = train_task(strategy, model, stream, 1, cfg)
+        stream, _, strategy, params, cfg = tiny_setup("GEM", per_task_memory=5)
+        params = train_task(strategy, params, stream, 1, cfg)
         x, y = strategy.memories[1]
         assert x.shape[0] == 5
         assert np.array_equal(x, stream.tasks[0].train_x[-5:])
 
     def test_gem_projection_counter_advances(self):
-        stream, _, strategy, model, cfg = tiny_setup("GEM", per_task_memory=8, n_tasks=3)
+        stream, _, strategy, params, cfg = tiny_setup("GEM", per_task_memory=8, n_tasks=3)
         for t in (1, 2, 3):
-            model = train_task(strategy, model, stream, t, cfg)
+            params = train_task(strategy, params, stream, t, cfg)
         assert strategy.diagnostics.get("projections", 0) >= 0  # smoke: counters exist
 
     def test_agem_projects_against_memory(self):
-        stream, _, strategy, model, cfg = tiny_setup("AGEM", per_task_memory=8, n_tasks=3)
+        stream, _, strategy, params, cfg = tiny_setup("AGEM", per_task_memory=8, n_tasks=3)
         for t in (1, 2, 3):
-            model = train_task(strategy, model, stream, t, cfg)
+            params = train_task(strategy, params, stream, t, cfg)
         assert len(strategy.memories) == 3
 
 
