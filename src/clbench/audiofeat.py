@@ -154,7 +154,12 @@ def logmel(clip: PcmClip, cfg: LogMelConfig) -> np.ndarray:
     frame_count(clip.samples.size, cfg.fft_size, cfg.hop)  # rejects sub-frame clips
     window, filterbank = _stft_weights(cfg)
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, cfg.fft_size)[:: cfg.hop]
-    power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
+    # 64-frame blocks keep the STFT temporaries near 0.5 MB (5 MB in one call
+    # on a 10 s clip); each frame's FFT is independent, so the bits are equal
+    power = np.empty((len(frames), cfg.fft_size // 2 + 1))
+    for start in range(0, len(frames), 64):
+        block = slice(start, start + 64)
+        power[block] = np.abs(np.fft.rfft(frames[block] * window, axis=1)) ** 2
     mel_power = power @ filterbank.T
     out = np.log(mel_power + cfg.log_floor)
     if not np.isfinite(out).all():
@@ -194,13 +199,32 @@ def extract_files(paths, cfg: LogMelConfig, mode: str, cache, source: bytes) -> 
     match; otherwise every clip is extracted and the file is (re)written.
     Rows always pass through float32, the cache's storage type, so a hit, a
     miss and an uncached call return equal arrays.
+
+    A miss decodes the clips on a process pool with one worker per usable
+    CPU (at most one per clip); rows come back in path order, so the result
+    and the cache bytes equal a serial run's. With one CPU, off Linux, or
+    inside a pool worker (a grid cell), the clips are decoded serially.
     """
     key = cache_key(source, repr(cfg).encode(), mode.encode())
     if cache is not None and os.path.exists(cache):
         cached = read_feature_cache(cache, key)
         if cached is not None and cached.shape[0] == len(paths):
             return cached
-    rows = np.vstack([extract_file(p, cfg, mode) for p in paths]).astype(np.float32)
+    import multiprocessing  # only a miss pays for the pool's imports
+
+    extract = functools.partial(extract_file, cfg=cfg, mode=mode)
+    # Linux forks the workers, as in harness.run_grid; without sched_getaffinity
+    # (macOS, Windows) they would be spawned and re-run the caller's __main__
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(paths))
+    if workers > 1 and multiprocessing.parent_process() is None:
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            vectors = list(pool.map(extract, paths, chunksize=max(1, len(paths) // (4 * workers))))
+    else:
+        vectors = [extract(p) for p in paths]
+    rows = np.vstack(vectors).astype(np.float32)
     if cache is not None:
         write_feature_cache(cache, key, rows)
     return rows.astype(np.float64)

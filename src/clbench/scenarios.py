@@ -28,6 +28,7 @@ from __future__ import annotations
 import glob as globmod
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -187,12 +188,19 @@ def _check_manifest(manifest: dict) -> None:
             if has_cluster and not (
                 isinstance(cluster, dict)
                 and isinstance(cluster.get("mean"), list)
-                and isinstance(cluster.get("sigma"), numbers.Real)
+                and all(_is_number(v) for v in cluster["mean"])
+                and _is_number(cluster.get("sigma"))
+                and cluster["sigma"] > 0
             ):
                 raise ManifestError(
-                    f"task {ti + 1} class {entry['label']!r}: a cluster needs a "
-                    "list 'mean' and a numeric 'sigma'"
+                    f"task {ti + 1} class {entry['label']!r}: a cluster needs a flat "
+                    "list of numbers 'mean' and a positive number 'sigma'"
                 )
+
+
+def _is_number(value) -> bool:
+    """A finite real that is not a bool (JSON true would pass as 1)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _global_labels(manifest: dict) -> tuple[str, ...]:

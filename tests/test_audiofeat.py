@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import re
 import wave
 
 import numpy as np
@@ -132,6 +134,16 @@ class TestLogMel:
     def test_too_short_clip_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
             logmel(PcmClip(16000, np.zeros(512)), LogMelConfig())
+
+    @pytest.mark.parametrize("seconds", [0.1, 4.0, 10.0])  # 2, 124 and 311 frames
+    def test_blocked_stft_equals_one_call(self, seconds):
+        cfg = LogMelConfig()
+        samples = np.random.default_rng(3).uniform(-0.5, 0.5, int(16000 * seconds))
+        window, filterbank = audiofeat._stft_weights(cfg)
+        frames = np.lib.stride_tricks.sliding_window_view(samples, cfg.fft_size)[:: cfg.hop]
+        power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
+        reference = np.log(power @ filterbank.T + cfg.log_floor)
+        assert np.array_equal(logmel(PcmClip(16000, samples), cfg), reference)
 
     def test_pure_function(self, tmp_path):
         path = tmp_path / "tone.wav"
@@ -291,3 +303,120 @@ def test_extract_file_sample_rate_mismatch(tmp_path):
     write_wav(path, np.zeros(8000, dtype=np.int16), rate=8000)
     with pytest.raises(ValueError, match="no resampling"):
         audiofeat.extract_file(path, LogMelConfig(sample_rate=16000))
+
+
+def write_clips(directory, count, seed=0):
+    """`count` distinct one-second noise clips, clip0.wav ... in order."""
+    rng = np.random.default_rng(seed)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for i in range(count):
+        path = directory / f"clip{i}.wav"
+        write_wav(path, (rng.uniform(-0.3, 0.3, 16000) * 32767).astype(np.int16))
+        paths.append(str(path))
+    return paths
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def pools_started(monkeypatch):
+    """max_workers of every ProcessPoolExecutor the code under test creates."""
+    import concurrent.futures
+
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+class TestPooledExtraction:
+    CFG = LogMelConfig(clip_seconds=1.0)
+
+    def extract(self, monkeypatch, cpus, paths, cache):
+        use_cpus(monkeypatch, cpus)
+        return audiofeat.extract_files(paths, self.CFG, "mean-std-over-time", str(cache), b"src")
+
+    def test_pooled_rows_and_cache_equal_serial(self, tmp_path, monkeypatch, pools_started):
+        paths = write_clips(tmp_path / "clips", 16)
+        paths.insert(5, paths[2])  # a clip listed twice keeps both rows
+        serial = self.extract(monkeypatch, 1, paths, tmp_path / "serial.fea1")
+        assert pools_started == []
+        pooled = self.extract(monkeypatch, 2, paths, tmp_path / "pooled.fea1")  # chunks of 2
+        assert pools_started == [2]
+        assert serial.shape == (17, 2 * self.CFG.mel_bins)
+        assert np.array_equal(pooled, serial)
+        assert np.array_equal(pooled[5], pooled[2])
+        assert (tmp_path / "pooled.fea1").read_bytes() == (tmp_path / "serial.fea1").read_bytes()
+
+    def test_workers_capped_at_clip_count(self, tmp_path, monkeypatch, pools_started):
+        paths = write_clips(tmp_path / "clips", 2)
+        self.extract(monkeypatch, 8, paths, tmp_path / "f.fea1")
+        assert pools_started == [2]
+
+    def test_without_sched_getaffinity_stays_serial(self, tmp_path, monkeypatch, pools_started):
+        paths = write_clips(tmp_path / "clips", 2)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        audiofeat.extract_files(paths, self.CFG, "mean-over-time", None, b"src")
+        assert pools_started == []
+
+    def test_corrupt_clip_raises_and_writes_no_cache(self, tmp_path, monkeypatch, pools_started):
+        paths = write_clips(tmp_path / "clips", 8)
+        (tmp_path / "clips" / "clip4.wav").write_bytes(b"RIFF\x00\x00\x00\x00WAVEjunk")
+        with pytest.raises(WavFormatError, match=re.escape(paths[4])):
+            self.extract(monkeypatch, 2, paths, tmp_path / "f.fea1")
+        assert pools_started == [2]
+        assert sorted(os.listdir(tmp_path)) == ["clips"]  # no cache, no temp file
+
+    def test_corrupt_clip_cli_error_matches_serial(self, tmp_path, monkeypatch, capsys):
+        from clbench.cli import EXIT_RUNTIME, main
+
+        clips = tmp_path / "clips"
+        write_clips(clips, 8)
+        (clips / "clip4.wav").write_bytes(b"RIFF\x00\x00\x00\x00WAVEjunk")
+        classes = [{"label": label, "train_glob": str(clips / pattern), "test_glob": str(clips / "clip7.wav"),
+                    "train_count": 3, "test_count": 1}
+                   for label, pattern in (("a", "clip[0-2].wav"), ("b", "clip[3-5].wav"))]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"scenario": "DI", "tasks": [{"classes": classes}]}))
+        errors = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            assert main(["extract-features", "--manifest", str(manifest)]) == EXIT_RUNTIME
+            errors.append(capsys.readouterr().err)
+        assert "clip4.wav" in errors[0]
+        assert errors[1] == errors[0]
+        assert not os.path.exists(f"{manifest}.fea1")
+
+
+def _extract_in_worker(paths, cfg):
+    """Run in a pool worker with many CPUs on offer and pools forbidden."""
+    import concurrent.futures
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a pool worker started a nested pool")
+
+    os.sched_getaffinity = lambda pid: set(range(4))
+    concurrent.futures.ProcessPoolExecutor = forbidden
+    return audiofeat.extract_files(paths, cfg, "mean-over-time", None, b"src")
+
+
+def test_pool_worker_extracts_serially(tmp_path, monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+
+    paths = write_clips(tmp_path / "clips", 4)
+    cfg = LogMelConfig(clip_seconds=1.0)
+    use_cpus(monkeypatch, 1)
+    serial = audiofeat.extract_files(paths, cfg, "mean-over-time", None, b"src")
+    context = multiprocessing.get_context("fork")  # the worker patches only its own copy
+    with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=context) as outer:
+        nested = outer.submit(_extract_in_worker, paths, cfg).result(timeout=120)
+    assert np.array_equal(nested, serial)

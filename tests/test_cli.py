@@ -58,9 +58,21 @@ class TestExitCodes:
             [{"classes": [{"label": "a", "cluster": {"mean": [0.0], "sigma": "1"},
                            "train_count": 1, "test_count": 1}]}],
             [{"classes": [{"label": "a", "cluster": [0.0], "train_count": 1, "test_count": 1}]}],
+            [{"classes": [{"label": "a", "cluster": {"mean": ["x"], "sigma": 1.0},
+                           "train_count": 1, "test_count": 1}]}],
+            [{"classes": [{"label": "a", "cluster": {"mean": [[0.0]], "sigma": 1.0},
+                           "train_count": 1, "test_count": 1}]}],
+            [{"classes": [{"label": "a", "cluster": {"mean": [0.0], "sigma": 0},
+                           "train_count": 1, "test_count": 1}]}],
+            [{"classes": [{"label": "a", "cluster": {"mean": [True], "sigma": 1.0},
+                           "train_count": 1, "test_count": 1}]}],
+            [{"classes": [{"label": "a", "cluster": {"mean": [0.0], "sigma": True},
+                           "train_count": 1, "test_count": 1}]}],
         ],
         ids=["empty-tasks", "task-not-object", "class-not-object", "cluster-without-mean",
-             "cluster-sigma-not-number", "cluster-not-object"],
+             "cluster-sigma-not-number", "cluster-not-object", "cluster-mean-not-number",
+             "cluster-mean-nested", "cluster-sigma-zero", "cluster-mean-bool",
+             "cluster-sigma-bool"],
     )
     def test_malformed_manifest_is_validation_error(self, tmp_path, capsys, tasks):
         bad = tmp_path / "bad.json"
