@@ -1,11 +1,12 @@
 """Dense float64 numeric core: a flat-parameter MLP classifier with analytic
 gradients, softmax cross-entropy, and bias-corrected Adam.
 
-Parameters and gradients are 1-D float64 arrays laid out by `ModelSpec`. All
-operations are pure functions over (params, ModelSpec) so strategies can
-snapshot, perturb and restore parameters freely. `forward` and `backward`
-take a batch (batch_rows, input_dim) or any stack of them, (..., batch_rows,
-input_dim), each batch running its 2-D matmuls; gradients are (..., n_params).
+Parameters and gradients are 1-D float64 arrays laid out by `ModelSpec`;
+`adam_step` updates them in place, every other function is pure. `forward`
+and `backward` take a batch (batch_rows, input_dim) or any stack of them,
+(..., batch_rows, input_dim), each batch running its 2-D matmuls; gradients
+are (..., n_params). The private `_forward`, `_ce_dlogits` and `_backprop`
+run the same math on checked inputs over prebuilt `ModelSpec.layers` views.
 """
 
 from __future__ import annotations
@@ -101,31 +102,30 @@ def forward(params: np.ndarray, spec: ModelSpec, batch: np.ndarray, acts: list |
     then each post-ReLU hidden activation) is appended to it, which is what
     `backward_from_dlogits` needs.
     """
-    h = _check_batch(spec, batch)
-    layers = spec.layers(params)
+    return _forward(spec.layers(params), _check_batch(spec, batch), acts)
+
+
+def _forward(layers: list, h: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """`forward` over prebuilt `ModelSpec.layers` views and a checked batch."""
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
         if acts is not None:
             acts.append(h)
-        pre = h @ W + b
-        h = pre if i == last else np.maximum(pre, 0.0)
+        h = h @ W
+        h += b
+        if i < last:
+            np.maximum(h, 0.0, out=h)
     if not np.isfinite(h).all():
         raise FloatingPointError("non-finite logits")
     return h
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _check_labels(labels, logits: np.ndarray) -> np.ndarray:
+def _check_labels(labels, n_classes: int, shape: tuple) -> np.ndarray:
+    """Integer labels of the given batch shape, each in 0..n_classes-1."""
     labels = np.asarray(labels)
-    if labels.shape != logits.shape[:-1]:
-        raise ValueError(f"labels of shape {labels.shape} do not match logits of shape {logits.shape}")
+    if labels.shape != shape:
+        raise ValueError(f"labels of shape {labels.shape} do not match batch of shape {shape}")
     labels = labels.astype(np.int64, copy=False)
-    n_classes = logits.shape[-1]
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"label out of range for {n_classes} classes")
     return labels
@@ -134,7 +134,7 @@ def _check_labels(labels, logits: np.ndarray) -> np.ndarray:
 def ce_loss(logits: np.ndarray, labels) -> float:
     """Mean softmax cross-entropy over batch rows."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = _check_labels(labels, logits)
+    labels = _check_labels(labels, logits.shape[-1], logits.shape[:-1])
     z = logits - logits.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=-1))
     picked = np.take_along_axis(z, labels[..., None], axis=-1)[..., 0]
@@ -143,11 +143,18 @@ def ce_loss(logits: np.ndarray, labels) -> float:
 
 def ce_dlogits(logits: np.ndarray, labels) -> np.ndarray:
     """d(mean CE)/d(logits) = (softmax - onehot) / batch_rows, per batch."""
-    labels = _check_labels(labels, logits)
-    d = _softmax(logits)
+    return _ce_dlogits(logits, _check_labels(labels, logits.shape[-1], logits.shape[:-1]))
+
+
+def _ce_dlogits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """`ce_dlogits` for int64 labels already checked against the logits."""
+    d = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(d, out=d)
+    d /= d.sum(axis=-1, keepdims=True)  # softmax
     rows = d.reshape(-1, d.shape[-1])  # a view: d is freshly allocated
     rows[np.arange(len(rows)), labels.ravel()] -= 1.0
-    return d / logits.shape[-2]
+    d /= logits.shape[-2]
+    return d
 
 
 def backward_from_dlogits(
@@ -155,15 +162,19 @@ def backward_from_dlogits(
 ) -> np.ndarray:
     """Backprop an upstream logits gradient to a parameter gradient, given
     the layer inputs `forward` collected for the same params and batch.
-    Returns one gradient per batch of the stack, shape (..., n_params).
-
-    Strategies that mix several logit-space losses (e.g. distillation) sum
-    their dlogits terms and run a single backward pass through here.
+    Returns one gradient per batch of the stack, shape (..., n_params);
+    a sum of several logit-space losses' dlogits backprops in one pass.
     """
     d = np.asarray(dlogits, dtype=np.float64)
     grad = np.empty(d.shape[:-2] + (spec.n_params,))
-    layers = spec.layers(params)
-    for i, (gW, gb) in reversed(list(enumerate(spec.layers(grad)))):
+    _backprop(spec.layers(params), acts, d, spec.layers(grad))
+    return grad
+
+
+def _backprop(layers: list, acts: list, d: np.ndarray, grads: list) -> None:
+    """`backward_from_dlogits` into the layer views `grads` of a buffer."""
+    for i in range(len(layers) - 1, -1, -1):
+        gW, gb = grads[i]
         a = acts[i].swapaxes(-1, -2)
         if d.shape[-2] == 1:
             # a one-row batch's weight gradient is an outer product: the same
@@ -174,8 +185,8 @@ def backward_from_dlogits(
         np.add.reduce(d, axis=-2, out=gb)
         if i > 0:
             # acts[i] is post-ReLU; its positive support marks active units
-            d = (d @ layers[i][0].T) * (acts[i] > 0.0)
-    return grad
+            d = d @ layers[i][0].T
+            d *= acts[i] > 0.0
 
 
 def backward(params: np.ndarray, spec: ModelSpec, batch: np.ndarray, labels) -> np.ndarray:
@@ -203,8 +214,8 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update. The moments are updated in place;
-    the parameters come back as a fresh array, leaving `params` intact."""
+    """One bias-corrected Adam update of `params` and the moments, all in
+    place; returns `params` and `state` for convenience."""
     if params.size != state.m.size or grad.size != state.m.size:
         raise ValueError("params/grad length does not match optimizer state")
     t = state.step + 1
@@ -215,8 +226,9 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple[n
     v += (1.0 - state.beta2) * (grad * grad)
     m_hat = m / (1.0 - state.beta1**t)
     v_hat = v / (1.0 - state.beta2**t)
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
     state.step = t
-    return params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps), state
+    return params, state
 
 
 def min_abs_preactivation(params: np.ndarray, spec: ModelSpec, batch: np.ndarray) -> float:

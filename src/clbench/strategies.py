@@ -558,7 +558,7 @@ class Strategy:
         return bx, by
 
     def loss_dlogits(self, logits: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-        return ndcore.ce_dlogits(logits, by)
+        return ndcore._ce_dlogits(logits, by)
 
     def penalty_gradient(self, params: np.ndarray) -> np.ndarray | None:
         return None
@@ -566,7 +566,7 @@ class Strategy:
     def adjust_gradient(self, grad: np.ndarray, params: np.ndarray, t: int) -> np.ndarray:
         return grad
 
-    def after_step(self, grad: np.ndarray, before: np.ndarray, after: np.ndarray) -> None:
+    def after_step(self, grad: np.ndarray, params: np.ndarray) -> None:
         pass
 
     def after_session(self, params: np.ndarray, access: StreamAccess, t: int) -> None:
@@ -578,30 +578,39 @@ class Strategy:
     # --- shared session loop -----------------------------------------------
 
     def train_session(self, params: np.ndarray, access: StreamAccess, t: int, cfg: TrainConfig) -> np.ndarray:
-        # adam_step returns fresh parameters, so the incoming array is never
-        # written to
+        # one workspace: the incoming parameters are copied once, then they
+        # and one gradient buffer are updated in place through views built
+        # once; every row a step adds comes from session data checked here
         self._cfg = cfg
         x, y = self.session_data(access, t)
-        params = self.initial_params(params, t)
+        x = ndcore._check_batch(self.spec, x)
+        y = ndcore._check_labels(y, self.spec.output_dim, x.shape[:-1])
+        params = self.initial_params(params, t).copy()
         self.before_session(params, access, t)
+        grad = np.empty_like(params)
+        views, grad_views = self.spec.layers(params), self.spec.layers(grad)
         n = x.shape[0]
         adam = AdamState.fresh(params.size, cfg.learning_rate)
-        for epoch in range(cfg.epochs):
-            order = self.rngs.shuffle_rng(self.shuffle_key(t), epoch).permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                bx, by = self.extend_batch(x[idx], y[idx])
-                acts: list = []
-                logits = ndcore.forward(params, self.spec, bx, acts)
-                d = self.loss_dlogits(logits, bx, by)
-                grad = ndcore.backward_from_dlogits(params, self.spec, acts, d)
-                extra = self.penalty_gradient(params)
-                if extra is not None:
-                    grad = grad + extra
-                grad = self.adjust_gradient(grad, params, t)
-                before = params
-                params, adam = ndcore.adam_step(adam, params, grad)
-                self.after_step(grad, before, params)
+        try:
+            for epoch in range(cfg.epochs):
+                order = self.rngs.shuffle_rng(self.shuffle_key(t), epoch).permutation(n)
+                xs, ys = x[order], y[order]
+                for start in range(0, n, cfg.batch_size):
+                    end = start + cfg.batch_size
+                    bx, by = self.extend_batch(xs[start:end], ys[start:end])
+                    acts: list = []
+                    logits = ndcore._forward(views, bx, acts)
+                    ndcore._backprop(views, acts, self.loss_dlogits(logits, bx, by), grad_views)
+                    extra = self.penalty_gradient(params)
+                    if extra is not None:
+                        grad += extra
+                    step_grad = self.adjust_gradient(grad, params, t)
+                    ndcore.adam_step(adam, params, step_grad)
+                    self.after_step(step_grad, params)
+        except FloatingPointError as err:
+            raise FloatingPointError(
+                f"{self.kind} session {t}, epoch {epoch + 1}, step {start // cfg.batch_size + 1}: {err}"
+            ) from err
         self.after_session(params, access, t)
         return params
 
@@ -665,10 +674,12 @@ class SiStrategy(Strategy):
     def before_session(self, params, access, t):
         if self.config.lam > 0.0:
             self.state.begin_task(params)
+            self._before = params.copy()  # the parameters before each step
 
-    def after_step(self, grad, before, after):
+    def after_step(self, grad, params):
         if self.config.lam > 0.0:
-            si_update(self.state, grad, before, after)
+            si_update(self.state, grad, self._before, params)
+            self._before[...] = params
 
     def penalty_gradient(self, params):
         if self.config.lam == 0.0:
@@ -683,18 +694,18 @@ class SiStrategy(Strategy):
 class LwfStrategy(Strategy):
     def __init__(self, config, spec, master_seed):
         super().__init__(config, spec, master_seed)
-        self.teacher: np.ndarray | None = None  # frozen pre-task parameters
+        self.teacher: list | None = None  # layer views of the frozen pre-task parameters
 
     def before_session(self, params, access, t):
         # no teacher for the first task: there is nothing to distill yet
         if self.config.alpha > 0.0 and t >= 2:
-            self.teacher = params.copy()
+            self.teacher = self.spec.layers(params.copy())
 
     def loss_dlogits(self, logits, bx, by):
-        d = ndcore.ce_dlogits(logits, by)
+        d = ndcore._ce_dlogits(logits, by)
         if self.teacher is not None and self.config.alpha > 0.0:
-            teacher_logits = ndcore.forward(self.teacher, self.spec, bx)
-            d = d + lwf_kd_dlogits(teacher_logits, logits, self.config.tau, self.config.alpha)
+            teacher_logits = ndcore._forward(self.teacher, bx)
+            d += lwf_kd_dlogits(teacher_logits, logits, self.config.tau, self.config.alpha)
         return d
 
 
@@ -771,12 +782,25 @@ class _EpisodicStrategy(Strategy):
 class GemStrategy(_EpisodicStrategy):
     """Per-step projection keeping the update non-harmful to every past task."""
 
+    def before_session(self, params, access, t):
+        # memories are fixed for the session: stack them once per distinct
+        # size, with the places of their rows in past-task order
+        past = [self.memories[k] for k in self._memory_tasks(t)]
+        self._rows = np.empty((len(past), params.size))
+        self._groups = []
+        for size in dict.fromkeys(len(y) for _, y in past):
+            at = [i for i, (_, y) in enumerate(past) if len(y) == size]
+            group = [past[i] for i in at]
+            self._groups.append((at, np.stack([x for x, _ in group]), np.stack([y for _, y in group])))
+
     def adjust_gradient(self, grad, params, t):
-        past = self._memory_tasks(t)
-        if not past:
+        if not self._groups:
             return grad
-        rows = np.stack([ndcore.backward(params, self.spec, *self.memories[k]) for k in past])
-        result = gem_project(grad, rows, margin=self.config.gamma)
+        # each stacked row is bit for bit its own 2-D call; the rows keep
+        # past-task order, which the dual's bits depend on
+        for at, xs, ys in self._groups:
+            self._rows[at] = ndcore.backward(params, self.spec, xs, ys)
+        result = gem_project(grad, self._rows, margin=self.config.gamma)
         if result.projected:
             self.diagnostics["projections"] = self.diagnostics.get("projections", 0) + 1
         if result.fallback:

@@ -232,14 +232,16 @@ class TestGenSynthetic:
         assert main(["gen-synthetic", "--scenario", scenario, "--out", out, "--seed", "3"]) == EXIT_OK
         manifest_path = os.path.join(out, f"{scenario.lower()}_manifest.json")
         assert os.listdir(out) == [os.path.basename(manifest_path)]
-        manifest = json.load(open(manifest_path))
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
         assert manifest["scenario"] == scenario
         assert "validation: pass" in capsys.readouterr().out
 
     def test_reference_layout_has_published_counts(self, tmp_path):
         out = str(tmp_path / "ref")
         assert main(["gen-synthetic", "--scenario", "DI", "--out", out, "--reference"]) == EXIT_OK
-        manifest = json.load(open(os.path.join(out, "di_manifest.json")))
+        with open(os.path.join(out, "di_manifest.json")) as fh:
+            manifest = json.load(fh)
         totals = [sum(c["train_count"] for c in task["classes"]) for task in manifest["tasks"]]
         assert totals == [3098, 3036, 1512, 1512, 504, 504]
 

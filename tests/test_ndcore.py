@@ -194,9 +194,11 @@ class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         spec = ModelSpec(input_dim=2, hidden_dims=(), output_dim=2)
         params = init_params(spec, np.random.default_rng(0))
+        before = params.copy()
         state = AdamState.fresh(params.size, learning_rate=0.1)
         new_params, new_state = adam_step(state, params, np.zeros_like(params))
-        assert np.array_equal(new_params, params)
+        assert new_params is params  # updated in place
+        assert np.array_equal(params, before)
         assert new_state.step == 1
 
     def test_first_step_closed_form(self):
@@ -206,10 +208,10 @@ class TestAdam:
         assert new_params[0] - 0.3 == pytest.approx(-0.0999999995, abs=1e-12)
 
     def test_first_step_sign_symmetry(self):
-        params = np.zeros(3)
         g = np.array([0.5, -2.0, 1.25])
-        up, _ = adam_step(AdamState.fresh(3, learning_rate=0.01), params, g)
-        down, _ = adam_step(AdamState.fresh(3, learning_rate=0.01), params, -g)
+        up, _ = adam_step(AdamState.fresh(3, learning_rate=0.01), np.zeros(3), g)
+        down, _ = adam_step(AdamState.fresh(3, learning_rate=0.01), np.zeros(3), -g)
+        assert np.all(up != 0.0)
         assert np.array_equal(up, -down)
 
     def test_length_mismatch(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clbench import ndcore, scenarios
+from clbench import ndcore, scenarios, strategies
 from clbench.ndcore import AdamState, ModelSpec, adam_step, init_params
 from clbench.strategies import (
     AccessViolation,
@@ -559,6 +559,28 @@ class TestGemProject:
             gem_project(np.zeros(2), np.zeros((1, 2)), tol=0.0)
 
 
+class TestGemRows:
+    def test_stacked_rows_equal_per_task_rows_in_task_order(self, monkeypatch):
+        # task 2 has fewer rows than per_task_memory, so the memories are
+        # ragged and its row is computed apart from the rows of tasks 1 and 3
+        stream, spec, strategy, params, cfg = tiny_setup("GEM", n_tasks=4, per_task_memory=5)
+        sets = [(task.train_x, task.train_y) for task in stream.tasks]
+        sets[1] = (sets[1][0][:3], sets[1][1][:3])
+        access = StreamAccess(sets)
+        for t in (1, 2, 3):
+            params = train_task(strategy, params, access, t, cfg)
+        assert [len(strategy.memories[k][1]) for k in (1, 2, 3)] == [5, 3, 5]
+        seen = []
+        project = strategies.gem_project
+        monkeypatch.setattr(
+            strategies, "gem_project", lambda g, G, **kw: seen.append(G.copy()) or project(g, G, **kw)
+        )
+        strategy.before_session(params, access, 4)
+        strategy.adjust_gradient(np.zeros(spec.n_params), params, 4)
+        expected = np.stack([ndcore.backward(params, spec, *strategy.memories[k]) for k in (1, 2, 3)])
+        assert np.array_equal(seen[0], expected)
+
+
 # ---------------------------------------------------------------------------
 # Session lifecycle
 
@@ -665,9 +687,43 @@ class TestTrainTask:
         stream, spec, strategy, params, cfg = tiny_setup(kind, n_tasks=3, **kw)
         access = StreamAccess.from_stream(stream)
         for t in (1, 2, 3):
-            params = train_task(strategy, params, access, t, cfg)
+            before = params.tobytes()
+            trained = train_task(strategy, params, access, t, cfg)
+            assert params.tobytes() == before  # the session trained a copy
+            params = trained
             expected = set(range(1, t + 1)) if kind == "Cumulative" else {t}
             assert access.accessed_in(t) == expected
+
+    @pytest.mark.parametrize("kind,kw", [("Naive", {}), ("Replay", {"memory_size": 6})])
+    def test_out_of_range_label_rejected_before_first_step(self, kind, kw, monkeypatch):
+        stream, spec, strategy, params, cfg = tiny_setup(kind, **kw)
+        sets = [(task.train_x, task.train_y) for task in stream.tasks]
+        bad = sets[1][1].copy()
+        bad[5] = spec.output_dim
+        access = StreamAccess([sets[0], (sets[1][0], bad)])
+        params = train_task(strategy, params, access, 1, cfg)
+        if kind == "Replay":
+            assert len(strategy.buffer) == 6  # session 2 would replay checked rows
+        steps = []
+        adam_step = ndcore.adam_step
+        monkeypatch.setattr(ndcore, "adam_step", lambda *a: steps.append(1) or adam_step(*a))
+        with pytest.raises(ValueError, match="label out of range for 2 classes"):
+            train_task(strategy, params, access, 2, cfg)
+        assert steps == []
+
+    @pytest.mark.parametrize("session", [1, 2])
+    def test_divergence_names_regime_session_epoch_and_step(self, session):
+        stream, spec, strategy, params, cfg = tiny_setup("SI", lam=0.5)
+        for t in range(1, session):
+            params = train_task(strategy, params, stream, t, cfg)
+        # one of the first two hidden units is positive unless the features
+        # sum to zero, and its logits overflow
+        (W0, _), (W1, _) = spec.layers(params)
+        W0[:, 0], W0[:, 1] = 1e200, -1e200
+        W1[...] = 1e200
+        message = rf"^SI session {session}, epoch 1, step 1: non-finite logits$"
+        with pytest.raises(FloatingPointError, match=message), np.errstate(over="ignore"):
+            train_task(strategy, params, stream, session, cfg)
 
     def test_joint_accesses_all_tasks_once(self):
         stream, _, strategy, params, cfg = tiny_setup("Joint", n_tasks=3)
