@@ -3,7 +3,10 @@ Hann STFT, HTK-mel log filterbank energies, time pooling, and a seeded
 Gaussian-cluster generator used by the synthetic desk-scale streams.
 
 Everything here is a pure function of its inputs; identical bytes in give
-identical features out.
+identical features out. `logmel` runs its STFT in scratch buffers kept per
+process for each config and frame count: they are not thread-safe (clbench
+runs in parallel on processes, never threads), and no returned array shares
+memory with them.
 """
 
 from __future__ import annotations
@@ -87,21 +90,27 @@ def read_wav(path) -> PcmClip:
         raise WavFormatError(f"{path}: expected mono, got {n_channels} channels")
     if sampwidth != 2:
         raise WavFormatError(f"{path}: expected 16-bit PCM, got {8 * sampwidth}-bit")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    if len(raw) % 2:
+        raise WavFormatError(
+            f"{path}: truncated data chunk ({len(raw)} bytes, not a whole number of 16-bit samples)"
+        )
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    samples /= 32768.0
     return PcmClip(sample_rate=rate, samples=samples)
 
 
 def trim_pad(clip: PcmClip, clip_seconds: float) -> PcmClip:
     """Force the clip to exactly sample_rate * clip_seconds samples.
 
-    Long clips keep their head; short clips get trailing zeros.
+    Long clips keep their head as a view, so the result may share memory
+    with `clip.samples`; short clips get trailing zeros.
     """
     if clip_seconds <= 0:
         raise ValueError("clip_seconds must be > 0")
     target = int(round(clip.sample_rate * clip_seconds))
     samples = clip.samples
     if samples.size >= target:
-        samples = samples[:target].copy()
+        samples = samples[:target]
     else:
         samples = np.concatenate([samples, np.zeros(target - samples.size)])
     return PcmClip(clip.sample_rate, samples)
@@ -140,6 +149,15 @@ def _stft_weights(cfg: LogMelConfig) -> tuple[np.ndarray, np.ndarray]:
     return window, filterbank
 
 
+@functools.lru_cache(maxsize=8)
+def _stft_scratch(cfg: LogMelConfig, frames: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Windowed block (64, fft_size), its spectrum (64, fft_size//2 + 1) and
+    the power matrix (frames, fft_size//2 + 1), reused by every `logmel` call
+    with this config and frame count, so no clip maps and faults them anew."""
+    bins = cfg.fft_size // 2 + 1
+    return np.empty((64, cfg.fft_size)), np.empty((64, bins), complex), np.empty((frames, bins))
+
+
 def logmel(clip: PcmClip, cfg: LogMelConfig) -> np.ndarray:
     """(frames, mel_bins) natural-log mel power spectrogram.
 
@@ -151,17 +169,22 @@ def logmel(clip: PcmClip, cfg: LogMelConfig) -> np.ndarray:
             f"clip sample rate {clip.sample_rate} != configured {cfg.sample_rate} "
             "(no resampling)"
         )
-    frame_count(clip.samples.size, cfg.fft_size, cfg.hop)  # rejects sub-frame clips
+    n_frames = frame_count(clip.samples.size, cfg.fft_size, cfg.hop)  # rejects sub-frame clips
     window, filterbank = _stft_weights(cfg)
+    block, spectrum, power = _stft_scratch(cfg, n_frames)
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, cfg.fft_size)[:: cfg.hop]
-    # 64-frame blocks keep the STFT temporaries near 0.5 MB (5 MB in one call
-    # on a 10 s clip); each frame's FFT is independent, so the bits are equal
-    power = np.empty((len(frames), cfg.fft_size // 2 + 1))
-    for start in range(0, len(frames), 64):
-        block = slice(start, start + 64)
-        power[block] = np.abs(np.fft.rfft(frames[block] * window, axis=1)) ** 2
-    mel_power = power @ filterbank.T
-    out = np.log(mel_power + cfg.log_floor)
+    # 64-frame blocks keep the STFT scratch near 0.5 MB (5 MB in one call on a
+    # 10 s clip); each frame's FFT is independent, so the bits are equal
+    for start in range(0, n_frames, 64):
+        rows = power[start : start + 64]
+        m = len(rows)
+        np.multiply(frames[start : start + m], window, out=block[:m])
+        np.fft.rfft(block[:m], axis=1, out=spectrum[:m])  # out= needs NumPy >= 2.0
+        np.square(np.abs(spectrum[:m], out=rows), out=rows)
+    # one matmul over all frames: per-block products can differ in the last bit
+    out = power @ filterbank.T
+    out += cfg.log_floor
+    np.log(out, out=out)
     if not np.isfinite(out).all():
         raise FloatingPointError("non-finite log-mel output")
     return out

@@ -31,6 +31,13 @@ def write_wav(path, samples_i16, rate=16000, channels=1, sampwidth=2):
         wf.writeframes(np.asarray(samples_i16, dtype="<i2").tobytes())
 
 
+def write_truncated_wav(path):
+    """A 100-frame clip cut by one byte: its data chunk has an odd byte count."""
+    write_wav(path, np.zeros(100, dtype=np.int16))
+    path.write_bytes(path.read_bytes()[:-1])
+    return path
+
+
 class TestReadWav:
     def test_zero_payload(self, tmp_path):
         path = tmp_path / "zeros.wav"
@@ -48,6 +55,11 @@ class TestReadWav:
         path = tmp_path / "garbage.wav"
         path.write_bytes(b"RIFFxxxxNOTAWAVE" + b"\x00" * 64)
         with pytest.raises(WavFormatError):
+            read_wav(path)
+
+    def test_truncated_data_chunk_names_the_file(self, tmp_path):
+        path = write_truncated_wav(tmp_path / "cut.wav")
+        with pytest.raises(WavFormatError, match=re.escape(f"{path}: truncated")):
             read_wav(path)
 
     def test_stereo_rejected(self, tmp_path):
@@ -98,6 +110,14 @@ def mel_centers_oracle(cfg):
     return 700.0 * (10.0 ** (mels / 2595.0) - 1.0)
 
 
+def logmel_oracle(samples, cfg):
+    """`logmel` as one STFT call over every frame of `samples`."""
+    window, filterbank = audiofeat._stft_weights(cfg)
+    frames = np.lib.stride_tricks.sliding_window_view(samples, cfg.fft_size)[:: cfg.hop]
+    power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
+    return np.log(power @ filterbank.T + cfg.log_floor)
+
+
 class TestLogMel:
     def test_silence_hits_the_floor(self):
         cfg = LogMelConfig()
@@ -137,13 +157,21 @@ class TestLogMel:
 
     @pytest.mark.parametrize("seconds", [0.1, 4.0, 10.0])  # 2, 124 and 311 frames
     def test_blocked_stft_equals_one_call(self, seconds):
-        cfg = LogMelConfig()
-        samples = np.random.default_rng(3).uniform(-0.5, 0.5, int(16000 * seconds))
-        window, filterbank = audiofeat._stft_weights(cfg)
-        frames = np.lib.stride_tricks.sliding_window_view(samples, cfg.fft_size)[:: cfg.hop]
-        power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
-        reference = np.log(power @ filterbank.T + cfg.log_floor)
-        assert np.array_equal(logmel(PcmClip(16000, samples), cfg), reference)
+        # `seconds`, every length, `seconds` again, then a second config, all
+        # in this process: each call reuses the STFT scratch of earlier ones
+        rng = np.random.default_rng(3)
+        small = LogMelConfig(fft_size=512, hop=256)
+        calls = [(LogMelConfig(), s) for s in (seconds, 0.1, 4.0, 10.0, seconds)]
+        calls += [(small, seconds), (small, 10.0)]
+        results = []
+        for cfg, s in calls:
+            samples = rng.uniform(-0.5, 0.5, int(16000 * s))
+            reference = logmel_oracle(samples, cfg)
+            out = logmel(PcmClip(16000, samples), cfg)
+            assert np.array_equal(out, reference)
+            results.append((out, reference))
+        for out, reference in results:  # no result shares the scratch
+            assert np.array_equal(out, reference)
 
     def test_pure_function(self, tmp_path):
         path = tmp_path / "tone.wav"
@@ -380,20 +408,50 @@ class TestPooledExtraction:
 
         clips = tmp_path / "clips"
         write_clips(clips, 8)
-        (clips / "clip4.wav").write_bytes(b"RIFF\x00\x00\x00\x00WAVEjunk")
         classes = [{"label": label, "train_glob": str(clips / pattern), "test_glob": str(clips / "clip7.wav"),
                     "train_count": 3, "test_count": 1}
                    for label, pattern in (("a", "clip[0-2].wav"), ("b", "clip[3-5].wav"))]
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"scenario": "DI", "tasks": [{"classes": classes}]}))
-        errors = []
+        for corrupt in (lambda path: path.write_bytes(b"RIFF\x00\x00\x00\x00WAVEjunk"),
+                        write_truncated_wav):
+            corrupt(clips / "clip4.wav")
+            errors = []
+            for cpus in (1, 2):
+                use_cpus(monkeypatch, cpus)
+                assert main(["extract-features", "--manifest", str(manifest)]) == EXIT_RUNTIME
+                errors.append(capsys.readouterr().err)
+            assert "clip4.wav" in errors[0]
+            assert errors[1] == errors[0]
+            assert not os.path.exists(f"{manifest}.fea1")
+
+    def test_rows_equal_per_clip_oracle(self, tmp_path, monkeypatch, pools_started):
+        # the whole WAV feature path, bit for bit against its plain per-clip
+        # expressions: clips longer than, shorter than and exactly 10 s
+        cfg, mode = LogMelConfig(), "mean-std-over-time"
+        rng = np.random.default_rng(11)
+        paths = []
+        for i, seconds in enumerate((12.0, 7.0, 10.0, 10.3)):
+            paths.append(str(tmp_path / f"clip{i}.wav"))
+            write_wav(paths[-1], (rng.uniform(-0.4, 0.4, int(16000 * seconds)) * 32767).astype(np.int16))
+
+        def oracle(path):
+            with wave.open(path, "rb") as wf:
+                raw = wf.readframes(wf.getnframes())
+            samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+            if samples.size >= 160000:
+                samples = samples[:160000].copy()
+            else:
+                samples = np.concatenate([samples, np.zeros(160000 - samples.size)])
+            return pool(logmel_oracle(samples, cfg), mode)
+
+        expected = np.vstack([oracle(p) for p in paths])
+        assert np.array_equal(np.vstack([audiofeat.extract_file(p, cfg, mode) for p in paths]), expected)
+        expected = expected.astype(np.float32).astype(np.float64)  # the FEA1 storage type
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
-            assert main(["extract-features", "--manifest", str(manifest)]) == EXIT_RUNTIME
-            errors.append(capsys.readouterr().err)
-        assert "clip4.wav" in errors[0]
-        assert errors[1] == errors[0]
-        assert not os.path.exists(f"{manifest}.fea1")
+            assert np.array_equal(audiofeat.extract_files(paths, cfg, mode, None, b"src"), expected)
+        assert pools_started == [2]
 
 
 def _extract_in_worker(paths, cfg):
