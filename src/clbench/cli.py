@@ -76,8 +76,6 @@ def _config_from_json(path: str) -> ExperimentConfig:
                              (raw["strategy"], StrategyConfig, "strategy")):
         harness._reject_unknown_keys(entry, [f.name for f in dataclasses.fields(cls)], what)
     raw["strategy"] = StrategyConfig(**raw["strategy"])
-    if "hidden_dims" in raw:
-        raw["hidden_dims"] = tuple(raw["hidden_dims"])
     return ExperimentConfig(**raw)
 
 

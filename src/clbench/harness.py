@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics, ndcore, scenarios, strategies
+from . import _is_count, _is_number, audiofeat, metrics, ndcore, scenarios, strategies
 from .metrics import AccuracyMatrix
 from .ndcore import ModelSpec
 from .strategies import StrategyConfig, StreamAccess, TrainConfig
@@ -90,13 +90,25 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        # run configs come from JSON: a wrong type must not train or hash as
+        # something else (a string of digits as hidden_dims, true as 1 epoch)
+        dims, rate = self.hidden_dims, self.learning_rate
+        for name, valid, what in (
+            ("manifest", isinstance(self.manifest, (str, dict)), "a path or a manifest object"),
+            ("hidden_dims", isinstance(dims, (list, tuple)) and all(_is_count(d, 1) for d in dims),
+             "a list of integers >= 1"),
+            ("epochs", self.epochs is None or _is_count(self.epochs, 1), "an integer >= 1"),
+            ("batch_size", self.batch_size is None or _is_count(self.batch_size, 1), "an integer >= 1"),
+            ("learning_rate", rate is None or (_is_number(rate) and rate > 0), "a number > 0"),
+            ("seed", _is_count(self.seed, 0), "an integer >= 0"),
+            ("standardize", isinstance(self.standardize, bool), "true or false"),
+            ("pool_mode", self.pool_mode in audiofeat.POOL_MODES, f"one of {audiofeat.POOL_MODES}"),
+            ("feature_cache", self.feature_cache is None or isinstance(self.feature_cache, str), "a path"),
+            ("out_dir", self.out_dir is None or isinstance(self.out_dir, str), "a path"),
+        ):
+            if not valid:
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
+        object.__setattr__(self, "hidden_dims", tuple(dims))
 
 
 def _manifest_dict(config: ExperimentConfig) -> dict:
@@ -106,22 +118,17 @@ def _manifest_dict(config: ExperimentConfig) -> dict:
 
 
 def _canonical_config(config: ExperimentConfig, manifest: dict) -> dict:
-    strategy = {k: v for k, v in vars(config.strategy).items()}
-    manifest_hash = hashlib.sha256(
+    """Every ExperimentConfig field but where the run reads and writes; the
+    manifest counts by a hash of its content, plus its path if it has one."""
+    locations = ("manifest", "feature_cache", "out_dir")
+    canon = {f.name: getattr(config, f.name) for f in dataclasses.fields(config) if f.name not in locations}
+    canon["strategy"] = dict(vars(config.strategy))
+    canon["hidden_dims"] = list(config.hidden_dims)
+    canon["manifest_hash"] = hashlib.sha256(
         json.dumps(manifest, sort_keys=True).encode()
     ).hexdigest()
-    return {
-        "manifest_hash": manifest_hash,
-        "manifest_path": config.manifest if isinstance(config.manifest, str) else None,
-        "strategy": strategy,
-        "hidden_dims": list(config.hidden_dims),
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "learning_rate": config.learning_rate,
-        "seed": config.seed,
-        "standardize": config.standardize,
-        "pool_mode": config.pool_mode,
-    }
+    canon["manifest_path"] = config.manifest if isinstance(config.manifest, str) else None
+    return canon
 
 
 def config_hash(config: ExperimentConfig, manifest: dict | None = None) -> str:
@@ -225,29 +232,23 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             x, y = test_sets[j - 1]
             matrix.record(t, j, _accuracy(params, spec, x, y))
 
-    if config.strategy.kind == "Joint":
+    joint = config.strategy.kind == "Joint"
+    for t, row in enumerate([T] if joint else range(1, T + 1), start=1):
         start = time.perf_counter()
-        params = strategies.train_task(strategy, params, access, 1, cfg)
+        params = strategies.train_task(strategy, params, access, t, cfg)
         session_seconds.append(time.perf_counter() - start)
-        evaluate_row(T)
-        summary = {"bwt": None, "fwt": None, "a": None, "acc": metrics.acc_final(matrix)}
-        curves = None
-    else:
-        for t in range(1, T + 1):
-            start = time.perf_counter()
-            params = strategies.train_task(strategy, params, access, t, cfg)
-            session_seconds.append(time.perf_counter() - start)
-            evaluate_row(t)
-        summary = {
-            "bwt": metrics.bwt(matrix) if T >= 2 else None,
-            "fwt": metrics.fwt(matrix) if T >= 2 else None,
-            "a": metrics.a_incremental(matrix),
-            "acc": metrics.acc_final(matrix),
-        }
-        curves = {
-            "all_tasks": metrics.session_curve(matrix, "all-tasks").tolist(),
-            "seen_tasks": metrics.session_curve(matrix, "seen-tasks").tolist(),
-        }
+        evaluate_row(row)
+    sequential = not joint and T >= 2
+    summary = {
+        "bwt": metrics.bwt(matrix) if sequential else None,
+        "fwt": metrics.fwt(matrix) if sequential else None,
+        "a": None if joint else metrics.a_incremental(matrix),
+        "acc": metrics.acc_final(matrix),
+    }
+    curves = None if joint else {
+        "all_tasks": metrics.session_curve(matrix, "all-tasks").tolist(),
+        "seen_tasks": metrics.session_curve(matrix, "seen-tasks").tolist(),
+    }
 
     diagnostics = dict(strategy.diagnostics)
     diagnostics["accessed_tasks"] = {
@@ -315,7 +316,7 @@ def expand_grid(grid: dict) -> list:
     seeds = grid.get("seeds")
     if not (isinstance(strategies_in, list) and strategies_in and isinstance(seeds, list) and seeds):
         raise ValueError("grid needs non-empty 'strategies' and 'seeds' lists")
-    if not all(scenarios._is_count(seed, 0) for seed in seeds):
+    if not all(_is_count(seed, 0) for seed in seeds):
         raise ValueError(f"grid seeds must be integers >= 0, got {seeds!r}")
     strategy_configs = []
     for entry in strategies_in:

@@ -175,13 +175,7 @@ def _backprop(layers: list, acts: list, d: np.ndarray, grads: list) -> None:
     """`backward_from_dlogits` into the layer views `grads` of a buffer."""
     for i in range(len(layers) - 1, -1, -1):
         gW, gb = grads[i]
-        a = acts[i].swapaxes(-1, -2)
-        if d.shape[-2] == 1:
-            # a one-row batch's weight gradient is an outer product: the same
-            # exact products as matmul, without a per-slice BLAS call
-            np.multiply(a, d, out=gW)
-        else:
-            np.matmul(a, d, out=gW)
+        np.matmul(acts[i].swapaxes(-1, -2), d, out=gW)
         np.add.reduce(d, axis=-2, out=gb)
         if i > 0:
             # acts[i] is post-ReLU; its positive support marks active units
@@ -231,7 +225,7 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple[n
     return params, state
 
 
-def min_abs_preactivation(params: np.ndarray, spec: ModelSpec, batch: np.ndarray) -> float:
+def _min_abs_preactivation(params: np.ndarray, spec: ModelSpec, batch: np.ndarray) -> float:
     """Distance of the closest hidden preactivation to the ReLU kink."""
     acts: list = []
     forward(params, spec, batch, acts)
@@ -253,7 +247,7 @@ def grad_check(spec: ModelSpec, seed: int, h: float = 1e-5, batch_rows: int = 4)
     theta = init_params(spec, rng)
     for _ in range(100):
         batch = rng.normal(size=(batch_rows, spec.input_dim))
-        if min_abs_preactivation(theta, spec, batch) > 10.0 * h:
+        if _min_abs_preactivation(theta, spec, batch) > 10.0 * h:
             break
     labels = rng.integers(0, spec.output_dim, size=batch_rows)
     analytic = backward(theta, spec, batch, labels)

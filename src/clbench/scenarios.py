@@ -28,13 +28,11 @@ from __future__ import annotations
 import glob as globmod
 import hashlib
 import json
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import audiofeat
+from . import _is_count, _is_number, audiofeat
 
 __all__ = [
     "ManifestError",
@@ -189,16 +187,6 @@ def _check_manifest(manifest: dict) -> None:
                     f"task {ti + 1} class {entry['label']!r}: a cluster needs a flat "
                     "list of numbers 'mean' and a positive number 'sigma'"
                 )
-
-
-def _is_count(value, least: int) -> bool:
-    """An int >= least that is not a bool (JSON true would pass as 1)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _is_number(value) -> bool:
-    """A finite real that is not a bool (JSON true would pass as 1)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _global_labels(manifest: dict) -> tuple[str, ...]:

@@ -5,7 +5,8 @@ logit-space loss term, adjust the gradient: EWC and SI add their penalty
 gradient, GEM and A-GEM project), so a regime with its extras disabled runs
 the exact same float operations as plain fine-tuning. Training data flows
 through an access-audited interface that records which tasks each session
-touched.
+touched; a session reads it once, in `session_data`, and `after_session` gets
+the same rows.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ndcore
+from . import _is_count, _is_number, ndcore
 from .ndcore import AdamState, ModelSpec
 
 __all__ = [
@@ -81,14 +82,16 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}; valid: {KINDS}")
+        for name in ("lam", "alpha", "tau", "xi", "gamma"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name, least in (("memory_size", 0), ("per_task_memory", 0), ("fisher_budget", 1)):
+            if not _is_count(getattr(self, name), least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {getattr(self, name)!r}")
         if self.lam < 0 or self.alpha < 0 or self.gamma < 0:
             raise ValueError("penalty weights must be >= 0")
         if self.tau <= 0:
             raise ValueError("distillation temperature must be > 0")
-        if self.memory_size < 0 or self.per_task_memory < 0:
-            raise ValueError("memory sizes must be >= 0")
-        if self.fisher_budget < 1:
-            raise ValueError("fisher_budget must be >= 1")
         if self.xi <= 0:
             raise ValueError("si damping xi must be > 0")
 
@@ -351,30 +354,33 @@ class MemoryBuffer:
         bisect.insort(self.slots.setdefault(label, []), slot)
 
 
+def _fill(buffer: MemoryBuffer, feature, label: int, origin) -> bool:
+    """Count an arrival and store it in a free slot; False when the buffer is
+    full and the insert policy decides (never at capacity 0)."""
+    buffer.seen += 1
+    if len(buffer) == buffer.capacity:
+        return buffer.capacity == 0
+    buffer.write(len(buffer), feature, label, origin)
+    return True
+
+
 def reservoir_insert(buffer: MemoryBuffer, feature, label, origin, rng) -> None:
     """Algorithm-R insert: after n >= capacity arrivals every sample has
     retention probability capacity/n."""
-    buffer.seen += 1
-    if buffer.capacity == 0:
-        return
-    if len(buffer) < buffer.capacity:
-        buffer.write(len(buffer), feature, int(label), origin)
+    label = int(label)
+    if _fill(buffer, feature, label, origin):
         return
     slot = int(rng.integers(0, buffer.seen))
     if slot < buffer.capacity:
-        buffer.write(slot, feature, int(label), origin)
+        buffer.write(slot, feature, label, origin)
 
 
 def gdumb_insert_balanced(buffer: MemoryBuffer, feature, label, origin, rng) -> None:
     """Greedy class-balancing insert: a full buffer accepts a sample only if
     its class is under-represented, evicting from the currently largest
     class."""
-    buffer.seen += 1
-    if buffer.capacity == 0:
-        return
     label = int(label)
-    if len(buffer) < buffer.capacity:
-        buffer.write(len(buffer), feature, label, origin)
+    if _fill(buffer, feature, label, origin):
         return
     counts = buffer.class_counts()
     largest = max(counts.values())
@@ -506,7 +512,7 @@ class Strategy:
     def session_data(self, access: StreamAccess, t: int):
         return access.train(t)
 
-    def before_session(self, params: np.ndarray, access: StreamAccess, t: int) -> None:
+    def before_session(self, params: np.ndarray, t: int) -> None:
         pass
 
     def extend_batch(self, bx: np.ndarray, by: np.ndarray):
@@ -521,7 +527,7 @@ class Strategy:
     def after_step(self, grad: np.ndarray, params: np.ndarray) -> None:
         pass
 
-    def after_session(self, params: np.ndarray, access: StreamAccess, t: int) -> None:
+    def after_session(self, params: np.ndarray, x: np.ndarray, y: np.ndarray, t: int) -> None:
         pass
 
     def shuffle_key(self, t: int) -> int:
@@ -538,7 +544,7 @@ class Strategy:
         x = ndcore._check_batch(self.spec, x)
         y = ndcore._check_labels(y, self.spec.output_dim, x.shape[:-1])
         params = self.initial_params(params, t).copy()
-        self.before_session(params, access, t)
+        self.before_session(params, t)
         grad = np.empty_like(params)
         views, grad_views = self.spec.layers(params), self.spec.layers(grad)
         n = x.shape[0]
@@ -560,7 +566,7 @@ class Strategy:
             raise FloatingPointError(
                 f"{self.kind} session {t}, epoch {epoch + 1}, step {start // cfg.batch_size + 1}: {err}"
             ) from err
-        self.after_session(params, access, t)
+        self.after_session(params, x, y, t)
         return params
 
 
@@ -607,10 +613,9 @@ class EwcStrategy(Strategy):
             grad += ewc_penalty_gradient(self.state, params, self.config.lam)
         return grad
 
-    def after_session(self, params, access, t):
+    def after_session(self, params, x, y, t):
         if self.config.lam == 0.0:
             return
-        x, y = access.train(t)
         fisher = estimate_fisher(params, self.spec, x, y, self.config.fisher_budget, self.rngs.fisher)
         self.state.add(params, fisher)
 
@@ -620,7 +625,7 @@ class SiStrategy(Strategy):
         super().__init__(config, spec, master_seed)
         self.state = SiState(xi=config.xi)
 
-    def before_session(self, params, access, t):
+    def before_session(self, params, t):
         if self.config.lam > 0.0:
             self.state.begin_task(params)
             self._before = params.copy()  # the parameters before each step
@@ -637,7 +642,7 @@ class SiStrategy(Strategy):
                 grad += extra
         return grad
 
-    def after_session(self, params, access, t):
+    def after_session(self, params, x, y, t):
         if self.config.lam > 0.0:
             si_consolidate(self.state, params)
 
@@ -647,7 +652,7 @@ class LwfStrategy(Strategy):
         super().__init__(config, spec, master_seed)
         self.teacher: list | None = None  # layer views of the frozen pre-task parameters
 
-    def before_session(self, params, access, t):
+    def before_session(self, params, t):
         # no teacher for the first task: there is nothing to distill yet
         if self.config.alpha > 0.0 and t >= 2:
             self.teacher = self.spec.layers(params.copy())
@@ -676,10 +681,9 @@ class ReplayStrategy(_BufferedStrategy):
         idx = self.rngs.memory.choice(len(self.buffer), size=k, replace=False)
         return np.vstack([bx, self.buffer.features[idx]]), np.concatenate([by, self.buffer.labels[idx]])
 
-    def after_session(self, params, access, t):
+    def after_session(self, params, x, y, t):
         if self.buffer.capacity == 0:
             return
-        x, y = access.train(t)
         for i in range(x.shape[0]):
             reservoir_insert(self.buffer, x[i], y[i], t, self.rngs.memory)
         self.diagnostics.setdefault("buffer_size", []).append(len(self.buffer))
@@ -713,10 +717,9 @@ class _EpisodicStrategy(Strategy):
         super().__init__(config, spec, master_seed)
         self.memories: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def after_session(self, params, access, t):
+    def after_session(self, params, x, y, t):
         if self.config.per_task_memory == 0:
             return
-        x, y = access.train(t)
         keep = self.config.per_task_memory
         self.memories[t] = (x[-keep:].copy(), y[-keep:].copy())
 
@@ -727,7 +730,7 @@ class _EpisodicStrategy(Strategy):
 class GemStrategy(_EpisodicStrategy):
     """Per-step projection keeping the update non-harmful to every past task."""
 
-    def before_session(self, params, access, t):
+    def before_session(self, params, t):
         # memories are fixed for the session: stack them once per distinct
         # size, with the places of their rows in past-task order
         past = [self.memories[k] for k in self._memory_tasks(t)]
@@ -760,7 +763,7 @@ class AgemStrategy(_EpisodicStrategy):
         super().__init__(config, spec, master_seed)
         self._pool = None  # concatenated past-task memories, fixed per session
 
-    def before_session(self, params, access, t):
+    def before_session(self, params, t):
         past = self._memory_tasks(t)
         if past:
             self._pool = (

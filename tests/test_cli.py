@@ -173,6 +173,28 @@ class TestRunAndReport:
         assert main(["run", "--config", str(path)]) == EXIT_RUNTIME
         assert f"error: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"hidden_dims": "12"}, "hidden_dims must be a list of integers >= 1, got '12'"),
+            ({"standardize": "no"}, "standardize must be true or false, got 'no'"),
+            ({"epochs": True}, "epochs must be an integer >= 1, got True"),
+            ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+            ({"learning_rate": "0.1"}, "learning_rate must be a number > 0, got '0.1'"),
+            ({"strategy": {"kind": "Replay", "memory_size": "5"}}, "memory_size must be an integer >= 0, got '5'"),
+            ({"manifest": 5}, "manifest must be a path or a manifest object, got 5"),
+            ({"out_dir": 7}, "out_dir must be a path, got 7"),
+            ({"pool_mode": 3}, "pool_mode must be one of ('mean-over-time', 'mean-std-over-time'), got 3"),
+        ],
+        ids=["hidden-dims-string", "standardize-string", "epochs-bool", "seed-fraction",
+             "learning-rate-string", "memory-size-string", "manifest-number", "out-dir-number",
+             "pool-mode-number"],
+    )
+    def test_wrong_field_type_is_runtime_error(self, tmp_path, capsys, change, message):
+        config = write_run_config(tmp_path, write_manifest(tmp_path), **change)
+        assert main(["run", "--config", config]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_report_empty_dir_fails(self, tmp_path):
         os.makedirs(tmp_path / "empty", exist_ok=True)
         assert main(["report", "--in", str(tmp_path / "empty")]) == EXIT_RUNTIME
@@ -231,6 +253,17 @@ class TestGrid:
         path.write_text(json.dumps(grid))
         assert main(["grid", "--config", str(path)]) == EXIT_RUNTIME
         assert f"error: {message}\n" in capsys.readouterr().err
+
+    def test_wrong_strategy_field_type_is_a_failed_cell(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        self.write_grid(tmp_path, [1])
+        grid = json.loads(path.read_text())
+        grid["strategies"] = [{"kind": "Naive"}, {"kind": "Replay", "memory_size": "5"}]
+        path.write_text(json.dumps(grid))
+        assert main(["grid", "--config", str(path)]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert "cell failed: Replay seed=1: ValueError: memory_size must be an integer >= 0" in captured.err
+        assert "Naive[seed=1]" in captured.out
 
     def test_empty_hyperparameter_list_is_a_failed_cell(self, tmp_path, capsys):
         grid = {

@@ -337,6 +337,69 @@ class TestPersistence:
             load_record(path)
 
 
+# a hand-written manifest, so that the pinned identities below do not depend
+# on the synthetic generators
+IDENTITY_MANIFEST = {
+    "scenario": "DI",
+    "seed": 4,
+    "feature_dim": 2,
+    "tasks": [
+        {"name": f"T{t}", "classes": [
+            {"label": label, "cluster": {"mean": [t + 2.0 * i, -1.0 * i], "sigma": 0.5},
+             "train_count": 4, "test_count": 2}
+            for i, label in enumerate(("normal", "anomaly"))]}
+        for t in (1, 2)
+    ],
+}
+IDENTITY_TRAIN = dict(hidden_dims=[3], epochs=1, batch_size=4, learning_rate=0.01)
+IDENTITY_MANIFEST_HASH = "92a02217eb0b98337191cbc8bf858a455f0c6a09c4f0a440733793dcc3b4dd37"
+
+
+def identity_json(seed, standardize, manifest_path=None, **strategy):
+    return {
+        "batch_size": 4, "epochs": 1, "hidden_dims": [3], "learning_rate": 0.01,
+        "manifest_hash": IDENTITY_MANIFEST_HASH, "manifest_path": manifest_path,
+        "pool_mode": "mean-over-time", "seed": seed, "standardize": standardize,
+        "strategy": {"alpha": 0.0, "fisher_budget": 512, "gamma": 0.0, "kind": "Naive", "lam": 0.0,
+                     "memory_size": 0, "per_task_memory": 0, "tau": 2.0, "xi": 0.1, **strategy},
+    }
+
+
+class TestRunIdentity:
+    """`config_hash` names a run's directory, so resume depends on it: these
+    values must not move when the code that derives them changes."""
+
+    def check(self, config, digest, expected_json):
+        assert config_hash(config) == digest
+        record = run_experiment(config)
+        assert record.config_hash == digest
+        assert record.config_json == expected_json
+
+    def test_inline_manifest(self):
+        config = ExperimentConfig(
+            manifest=IDENTITY_MANIFEST, strategy=StrategyConfig("EWC", lam=0.5, fisher_budget=8),
+            seed=3, standardize=False, **IDENTITY_TRAIN,
+        )
+        expected = identity_json(3, False, kind="EWC", lam=0.5, fisher_budget=8)
+        self.check(config, "67d1ee63e4f4eff9", expected)
+
+    def test_path_manifest_with_cache_and_out_dir(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(IDENTITY_MANIFEST))
+        config = ExperimentConfig(
+            manifest=str(path), strategy=StrategyConfig("Replay", memory_size=4), seed=0,
+            feature_cache=str(tmp_path / "cache.fea1"), out_dir=str(tmp_path / "runs"), **IDENTITY_TRAIN,
+        )
+        expected = identity_json(0, True, str(path), kind="Replay", memory_size=4)
+        self.check(config, "6bf7186140c4a8a3", expected)
+
+    def test_grid_cell(self):
+        grid = {"manifest": IDENTITY_MANIFEST, "strategies": [{"kind": "LwF", "alpha": [0.5, 1.0]}],
+                "seeds": [2], "pool_mode": "mean-over-time", **IDENTITY_TRAIN}
+        expected = identity_json(2, True, kind="LwF", alpha=1.0)
+        self.check(expand_grid(grid)[1], "fd53fc66617ece04", expected)
+
+
 class TestGrid:
     def grid(self, **kw):
         base = {

@@ -112,7 +112,7 @@ class TestBackward:
         # preactivations sit inside the finite-difference window
         while True:
             x = rng.normal(size=(4, 3))
-            if ndcore.min_abs_preactivation(params, spec, x) > 1e-4:
+            if ndcore._min_abs_preactivation(params, spec, x) > 1e-4:
                 break
         y = rng.integers(0, 3, size=4)
         analytic = backward(params, spec, x, y)

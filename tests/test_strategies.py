@@ -568,7 +568,7 @@ class TestGemRows:
         monkeypatch.setattr(
             strategies, "gem_project", lambda g, G, **kw: seen.append(G.copy()) or project(g, G, **kw)
         )
-        strategy.before_session(params, access, 4)
+        strategy.before_session(params, 4)
         strategy.adjust_gradient(np.zeros(spec.n_params), params)
         expected = np.stack([ndcore.backward(params, spec, *strategy.memories[k]) for k in (1, 2, 3)])
         assert np.array_equal(seen[0], expected)
@@ -727,6 +727,29 @@ class TestTrainTask:
         access = stream_access(stream)
         train_task(strategy, params, access, 1, cfg)
         assert access.accessed_in(1) == {1, 2, 3}
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("Naive", {}),
+        ("Cumulative", {}),
+        ("Joint", {}),
+        ("EWC", {"lam": 0.5, "fisher_budget": 4}),
+        ("LwF", {"alpha": 1.0}),
+        ("SI", {"lam": 0.5}),
+        ("Replay", {"memory_size": 6}),
+        ("GDumb", {"memory_size": 6}),
+        ("GEM", {"per_task_memory": 4}),
+        ("AGEM", {"per_task_memory": 4}),
+    ])
+    def test_every_session_reads_each_task_once(self, kind, kw, monkeypatch):
+        stream, spec, strategy, params, cfg = tiny_setup(kind, n_tasks=3, **kw)
+        access = stream_access(stream)
+        reads = []
+        train = StreamAccess.train
+        monkeypatch.setattr(StreamAccess, "train", lambda self, k: reads.append(k) or train(self, k))
+        for t in (1,) if kind == "Joint" else (1, 2, 3):
+            reads.clear()
+            params = train_task(strategy, params, access, t, cfg)
+            assert sorted(reads) == sorted(access.accessed_in(t))
 
 
 class TestDegeneracyToNaive:
