@@ -276,6 +276,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
 
 def _expand_strategy(entry: dict) -> list[StrategyConfig]:
+    _reject_unknown_keys(entry, [f.name for f in dataclasses.fields(StrategyConfig)], "strategy")
     list_keys = [k for k, v in entry.items() if isinstance(v, list)]
     empty = [k for k in list_keys if not entry[k]]
     if empty:
@@ -316,8 +317,6 @@ def expand_grid(grid: dict) -> list:
     seeds = grid.get("seeds")
     if not (isinstance(strategies_in, list) and strategies_in and isinstance(seeds, list) and seeds):
         raise ValueError("grid needs non-empty 'strategies' and 'seeds' lists")
-    if not all(_is_count(seed, 0) for seed in seeds):
-        raise ValueError(f"grid seeds must be integers >= 0, got {seeds!r}")
     strategy_configs = []
     for entry in strategies_in:
         try:
@@ -529,7 +528,7 @@ def selftest() -> tuple[bool, list[str]]:
         G = rng.normal(size=(k, dim))
         result = strategies.gem_project(g, G)
         worst_dot = min(worst_dot, float((G @ result.grad).min()))
-    check("gem-feasibility", worst_dot >= -1e-7, f"min dot {worst_dot:.2e}")
+    check("gem-feasibility", worst_dot >= -strategies.GEM_TOL, f"min dot {worst_dot:.2e}")
 
     buf = strategies.MemoryBuffer(capacity=7)
     brng = np.random.default_rng(3)

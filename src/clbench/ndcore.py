@@ -28,6 +28,11 @@ __all__ = [
     "grad_check",
 ]
 
+# Adam's published defaults (Kingma & Ba 2014, arXiv:1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -197,14 +202,11 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     learning_rate: float = 1e-3
 
     @classmethod
-    def fresh(cls, n: int, learning_rate: float, **kw) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), learning_rate=learning_rate, **kw)
+    def fresh(cls, n: int, learning_rate: float) -> "AdamState":
+        return cls(m=np.zeros(n), v=np.zeros(n), learning_rate=learning_rate)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, AdamState]:
@@ -214,13 +216,13 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple[n
         raise ValueError("params/grad length does not match optimizer state")
     t = state.step + 1
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (grad * grad)
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grad * grad)
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     state.step = t
     return params, state
 
@@ -233,7 +235,7 @@ def _min_abs_preactivation(params: np.ndarray, spec: ModelSpec, batch: np.ndarra
     return min((float(np.abs(h @ W + b).min()) for h, (W, b) in hidden), default=np.inf)
 
 
-def grad_check(spec: ModelSpec, seed: int, h: float = 1e-5, batch_rows: int = 4) -> float:
+def grad_check(spec: ModelSpec, seed: int, h: float = 1e-5) -> float:
     """Max relative error of analytic vs central-difference CE gradients.
 
     Relative error per parameter is |a - n| / max(1, |a|, |n|). The loss is
@@ -246,10 +248,10 @@ def grad_check(spec: ModelSpec, seed: int, h: float = 1e-5, batch_rows: int = 4)
     rng = np.random.default_rng(seed)
     theta = init_params(spec, rng)
     for _ in range(100):
-        batch = rng.normal(size=(batch_rows, spec.input_dim))
+        batch = rng.normal(size=(4, spec.input_dim))
         if _min_abs_preactivation(theta, spec, batch) > 10.0 * h:
             break
-    labels = rng.integers(0, spec.output_dim, size=batch_rows)
+    labels = rng.integers(0, spec.output_dim, size=batch.shape[0])
     analytic = backward(theta, spec, batch, labels)
     numeric = np.empty_like(analytic)
     for i in range(theta.size):

@@ -574,8 +574,8 @@ def _split_counts(total: int, parts: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-def reference_di_manifest(seed: int = 0, dim: int = 12) -> dict:
-    manifest = synthetic_di_manifest(seed=seed, dim=dim)
+def reference_di_manifest(seed: int = 0) -> dict:
+    manifest = synthetic_di_manifest(seed=seed)
     for t, (task, train_total, test_total) in enumerate(
         zip(manifest["tasks"], REFERENCE_DI_TRAIN, REFERENCE_DI_TEST)
     ):
@@ -588,8 +588,8 @@ def reference_di_manifest(seed: int = 0, dim: int = 12) -> dict:
     return manifest
 
 
-def reference_ci_manifest(seed: int = 0, noise_dims: int = 3) -> dict:
-    manifest = synthetic_ci_manifest(seed=seed, noise_dims=noise_dims)
+def reference_ci_manifest(seed: int = 0) -> dict:
+    manifest = synthetic_ci_manifest(seed=seed)
     for task, train_total, test_total in zip(
         manifest["tasks"], REFERENCE_CI_TRAIN, REFERENCE_CI_TEST_NEW
     ):

@@ -116,12 +116,6 @@ class TrainConfig:
     batch_size: int
     learning_rate: float
 
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-
 
 class RngBundle:
     """Counter-split sub-streams of one master seed.
@@ -395,6 +389,9 @@ def gdumb_insert_balanced(buffer: MemoryBuffer, feature, label, origin, rng) -> 
 # ---------------------------------------------------------------------------
 # Gradient projections
 
+GEM_TOL = 1e-7  # the GEM dual solver's KKT tolerance; selftest gates on it too
+GEM_MAX_ITER = 10000  # dual iterations before the feasibility fallback
+
 
 def agem_project(g: np.ndarray, g_ref: np.ndarray) -> np.ndarray:
     """Project g off the half-space violating the averaged reference gradient:
@@ -426,9 +423,7 @@ class GemResult:
 def gem_project(
     g: np.ndarray,
     G: np.ndarray,
-    tol: float = 1e-7,
     margin: float = 0.0,
-    max_iter: int = 10000,
 ) -> GemResult:
     """Euclidean projection of g onto {x : <x, g_k> >= margin for all k}.
 
@@ -439,8 +434,6 @@ def gem_project(
     non-convergence, falls back to a single projection against the mean
     constraint row.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     g = np.asarray(g, dtype=np.float64)
     G = np.atleast_2d(np.asarray(G, dtype=np.float64))
     if G.shape[1] != g.size:
@@ -463,19 +456,19 @@ def gem_project(
     v = np.zeros(Gn.shape[0])
     converged = False
     iterations = 0
-    for iterations in range(max_iter + 1):
+    for iterations in range(GEM_MAX_ITER + 1):
         dual_grad = A @ v + b  # = <g + Gn'v, g_k/|g_k|> - margin/|g_k|
         raw_violation = float((dual_grad * row_norms).min())  # = min <x, g_k> - margin
-        if raw_violation >= -0.5 * tol and np.abs(v * dual_grad).max() <= tol * scale:
+        if raw_violation >= -0.5 * GEM_TOL and np.abs(v * dual_grad).max() <= GEM_TOL * scale:
             converged = True  # epsilon-KKT: feasible and complementary
             break
-        if iterations == max_iter:
+        if iterations == GEM_MAX_ITER:
             break
         v = np.maximum(0.0, v - dual_grad / L)
     projected = g + Gn.T @ v
     if converged:
         return GemResult(projected, True, True, iterations, False)
-    if float((G @ projected).min()) >= margin - tol:
+    if float((G @ projected).min()) >= margin - GEM_TOL:
         # ran out of iterations but the iterate is already feasible; keep it
         return GemResult(projected, True, False, iterations, False)
     fallback = agem_project(g, G.mean(axis=0))
@@ -609,7 +602,7 @@ class EwcStrategy(Strategy):
         self.state = EwcState()
 
     def adjust_gradient(self, grad, params):
-        if self.config.lam != 0.0 and self.state.anchors:
+        if self.state.anchors:
             grad += ewc_penalty_gradient(self.state, params, self.config.lam)
         return grad
 
@@ -636,10 +629,9 @@ class SiStrategy(Strategy):
             self._before[...] = params
 
     def adjust_gradient(self, grad, params):
-        if self.config.lam != 0.0:
-            extra = si_penalty_gradient(self.state, params, self.config.lam)
-            if extra is not None:
-                grad += extra
+        extra = si_penalty_gradient(self.state, params, self.config.lam)
+        if extra is not None:
+            grad += extra
         return grad
 
     def after_session(self, params, x, y, t):
@@ -659,7 +651,7 @@ class LwfStrategy(Strategy):
 
     def loss_dlogits(self, logits, bx, by):
         d = ndcore._ce_dlogits(logits, by)
-        if self.teacher is not None and self.config.alpha > 0.0:
+        if self.teacher is not None:
             teacher_logits = ndcore._forward(self.teacher, bx)
             d += lwf_kd_dlogits(teacher_logits, logits, self.config.tau, self.config.alpha)
         return d

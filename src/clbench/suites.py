@@ -66,12 +66,12 @@ DI_SUITE_STRATEGIES = (
 )
 
 
-def standard_ci_manifest(seed: int = 0, **overrides) -> dict:
-    return scenarios.synthetic_ci_manifest(seed=seed, **{**CI_STREAM, **overrides})
+def standard_ci_manifest(seed: int = 0) -> dict:
+    return scenarios.synthetic_ci_manifest(seed=seed, **CI_STREAM)
 
 
-def standard_di_manifest(seed: int = 0, **overrides) -> dict:
-    return scenarios.synthetic_di_manifest(seed=seed, **{**DI_STREAM, **overrides})
+def standard_di_manifest(seed: int = 0) -> dict:
+    return scenarios.synthetic_di_manifest(seed=seed, **DI_STREAM)
 
 
 def _write_manifest(manifest: dict, out_dir: str | None, name: str):
@@ -100,11 +100,11 @@ def _run_suite(manifest_fn, train, strategy_configs, seeds, out_dir, tag) -> lis
     return records
 
 
-def run_ci_suite(seeds=(1, 2, 3), out_dir: str | None = None, strategies=CI_SUITE_STRATEGIES):
+def run_ci_suite(seeds=(1, 2, 3), out_dir: str | None = None):
     """Replay / GDumb / Naive over the standard synthetic CI streams."""
-    return _run_suite(standard_ci_manifest, CI_TRAIN, strategies, seeds, out_dir, "ci")
+    return _run_suite(standard_ci_manifest, CI_TRAIN, CI_SUITE_STRATEGIES, seeds, out_dir, "ci")
 
 
-def run_di_suite(seeds=(1, 2, 3), out_dir: str | None = None, strategies=DI_SUITE_STRATEGIES):
+def run_di_suite(seeds=(1, 2, 3), out_dir: str | None = None):
     """All regimes over the standard synthetic DI streams."""
-    return _run_suite(standard_di_manifest, DI_TRAIN, strategies, seeds, out_dir, "di")
+    return _run_suite(standard_di_manifest, DI_TRAIN, DI_SUITE_STRATEGIES, seeds, out_dir, "di")

@@ -185,10 +185,15 @@ class TestRunAndReport:
             ({"manifest": 5}, "manifest must be a path or a manifest object, got 5"),
             ({"out_dir": 7}, "out_dir must be a path, got 7"),
             ({"pool_mode": 3}, "pool_mode must be one of ('mean-over-time', 'mean-std-over-time'), got 3"),
+            ({"epochs": 0}, "epochs must be an integer >= 1, got 0"),
+            ({"batch_size": 0}, "batch_size must be an integer >= 1, got 0"),
+            ({"learning_rate": 0}, "learning_rate must be a number > 0, got 0"),
+            ({"learning_rate": -0.1}, "learning_rate must be a number > 0, got -0.1"),
         ],
         ids=["hidden-dims-string", "standardize-string", "epochs-bool", "seed-fraction",
              "learning-rate-string", "memory-size-string", "manifest-number", "out-dir-number",
-             "pool-mode-number"],
+             "pool-mode-number", "epochs-zero", "batch-size-zero", "learning-rate-zero",
+             "learning-rate-negative"],
     )
     def test_wrong_field_type_is_runtime_error(self, tmp_path, capsys, change, message):
         config = write_run_config(tmp_path, write_manifest(tmp_path), **change)
@@ -240,9 +245,9 @@ class TestGrid:
         [
             ([], "a grid config must be a JSON object"),
             ({"seeds": "12"}, "grid needs non-empty 'strategies' and 'seeds' lists"),
-            ({"seeds": [1.5]}, "grid seeds must be integers >= 0, got [1.5]"),
-            ({"seeds": [1, True]}, "grid seeds must be integers >= 0, got [1, True]"),
-            ({"seeds": [-1]}, "grid seeds must be integers >= 0, got [-1]"),
+            ({"seeds": [1.5]}, "seed must be an integer >= 0, got 1.5"),
+            ({"seeds": [1, True]}, "seed must be an integer >= 0, got True"),
+            ({"seeds": [-1]}, "seed must be an integer >= 0, got -1"),
         ],
         ids=["not-object", "seeds-string", "seed-fraction", "seed-bool", "seed-negative"],
     )
@@ -263,6 +268,21 @@ class TestGrid:
         assert main(["grid", "--config", str(path)]) == EXIT_RUNTIME
         captured = capsys.readouterr()
         assert "cell failed: Replay seed=1: ValueError: memory_size must be an integer >= 0" in captured.err
+        assert "Naive[seed=1]" in captured.out
+
+    def test_unknown_strategy_keys_are_a_failed_cell(self, tmp_path, capsys):
+        # the message names every unknown key, as `clbench run` does
+        path = tmp_path / "grid.json"
+        self.write_grid(tmp_path, [1])
+        grid = json.loads(path.read_text())
+        grid["strategies"] = [{"kind": "Naive"}, {"kind": "EWC", "lamda": [0.5, 1.0], "fisher_budgett": 4}]
+        path.write_text(json.dumps(grid))
+        assert main(["grid", "--config", str(path)]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert (
+            "cell failed: EWC seed=1: ValueError: unknown strategy keys: ['fisher_budgett', 'lamda']\n"
+            in captured.err
+        )
         assert "Naive[seed=1]" in captured.out
 
     def test_empty_hyperparameter_list_is_a_failed_cell(self, tmp_path, capsys):
